@@ -11,6 +11,14 @@ Regenerate the golden (after an *intentional* change to the measured
 numbers) with::
 
     PYTHONPATH=src python -m repro.harness.goldens tests/harness/goldens/paper_numbers.json
+
+:func:`collect_trace_digests` freezes the traces themselves: the
+``trace_digest`` of every registered workload and of a few random pages
+(``tests/harness/goldens/trace_digests.json``).  Host-side speed-ups of
+the browser, tracer or trace codec must leave every digest unchanged;
+regenerate with::
+
+    PYTHONPATH=src python -m repro.harness.goldens --digests tests/harness/goldens/trace_digests.json
 """
 
 from __future__ import annotations
@@ -21,8 +29,11 @@ from typing import Dict
 from ..analysis.coverage import coverage_row
 from ..analysis.utilization import busy_fraction, find_spikes
 from ..browser.context import MAIN_THREAD
+from ..trace.store import trace_digest
+from ..workloads import benchmark_names
+from ..workloads.fuzz import random_page
 from . import paper
-from .experiments import cached_run
+from .experiments import cached_run, run_engine
 
 #: (site label, benchmark name) pairs per Table I condition.
 TABLE1_RUNS = {
@@ -73,12 +84,34 @@ def collect_paper_numbers() -> Dict:
     return numbers
 
 
+#: ``random_page`` seeds whose trace digests are frozen beside the workloads.
+DIGEST_RANDOM_PAGES = (0, 1, 2)
+
+
+def collect_trace_digests() -> Dict[str, str]:
+    """``trace_digest`` of every registered workload and frozen random page.
+
+    Workloads are collected through :func:`cached_run` (the same traces
+    the paper-number goldens measure); random pages are keyed
+    ``random_page(<seed>)``.
+    """
+    digests = {name: trace_digest(cached_run(name).store) for name in benchmark_names()}
+    for seed in DIGEST_RANDOM_PAGES:
+        # metrics_ticks as in run_benchmark, so these are the traces it profiles.
+        store = run_engine(random_page(seed), metrics_ticks=2).trace_store()
+        digests[f"random_page({seed})"] = trace_digest(store)
+    return digests
+
+
 def main(argv) -> int:
+    digests = argv[:1] == ["--digests"]
+    if digests:
+        argv = argv[1:]
     if len(argv) != 1:
         print(__doc__)
         return 2
     path = argv[0]
-    numbers = collect_paper_numbers()
+    numbers = collect_trace_digests() if digests else collect_paper_numbers()
     with open(path, "w") as fh:
         json.dump(numbers, fh, indent=2, sort_keys=True)
         fh.write("\n")
