@@ -8,8 +8,8 @@ shown — Chromium's compositing design pitfall the paper highlights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...machine.memory import MemRegion
 from ..context import EngineContext, PIXEL_BLOCK, TILE_SIZE
@@ -81,6 +81,22 @@ class Tile:
         return f"Tile(L{self.layer_id} {self.col},{self.row} {self.rect})"
 
 
+def _grid_span(lo: float, hi: float, extent: Tuple[int, int]) -> range:
+    """Grid indices within ``extent`` whose tiles may meet ``[lo, hi)``.
+
+    Conservative by one tile on each side, so float rounding never drops
+    a tile that :meth:`Rect.intersects` would accept; callers filter with
+    the exact test.  A non-finite bound spans the whole extent.
+    """
+    first, last = extent
+    try:
+        start = math.floor(lo / TILE_SIZE) - 1
+        stop = math.ceil(hi / TILE_SIZE)
+    except (OverflowError, ValueError):
+        return range(first, last + 1)
+    return range(max(first, start), min(last, stop) + 1)
+
+
 class CompositedLayer:
     """cc-side twin of a paint layer, with its backing-store tile grid."""
 
@@ -88,9 +104,16 @@ class CompositedLayer:
         self.ctx = ctx
         self.paint = paint_layer
         self.tiles: Dict[Tuple[int, int], Tile] = {}
-        #: cc-side copies of the display items (committed from the main
-        #: thread); raster reads these, not the blink-side originals.
-        self.cc_items: List[Tuple[DisplayItem, int]] = []
+        #: grid extent (first, last) of tile columns and rows; empty ranges
+        #: while the layer has no tiles.
+        self._cols = (0, -1)
+        self._rows = (0, -1)
+        self._cc_items: Tuple[Tuple[DisplayItem, int], ...] = ()
+        #: (col, row) -> positions in ``cc_items`` of the items that may
+        #: meet that tile, ascending; host-side bookkeeping, never traced
+        #: (the traced spatial index is ``index_cell``).  Built on the
+        #: first query after each commit.
+        self._buckets: Optional[Dict[Tuple[int, int], List[int]]] = None
         #: cc-side property cells (transform/position), read at raster.
         self.property_cell = ctx.memory.alloc_cell(
             f"cc:props:L{paint_layer.layer_id}"
@@ -114,6 +137,8 @@ class CompositedLayer:
         row0 = int(bounds.y // TILE_SIZE)
         col1 = int((bounds.right - 1) // TILE_SIZE)
         row1 = int((bounds.bottom - 1) // TILE_SIZE)
+        self._cols = (col0, col1)
+        self._rows = (row0, row1)
         for row in range(row0, row1 + 1):
             for col in range(col0, col1 + 1):
                 rect = Rect(col * TILE_SIZE, row * TILE_SIZE, TILE_SIZE, TILE_SIZE)
@@ -121,18 +146,51 @@ class CompositedLayer:
                     self.ctx, self.paint.layer_id, col, row, rect
                 )
 
+    @property
+    def cc_items(self) -> Tuple[Tuple[DisplayItem, int], ...]:
+        """cc-side copies of the display items with their cells, in paint
+        order (committed from the main thread); raster reads these, not
+        the blink-side originals.  Replaced wholesale at each commit."""
+        return self._cc_items
+
+    @cc_items.setter
+    def cc_items(self, items: Sequence[Tuple[DisplayItem, int]]) -> None:
+        self._cc_items = tuple(items)
+        self._buckets = None
+
     def items_for_tile(self, tile: Tile) -> List[Tuple[DisplayItem, int]]:
-        """Display items whose rect intersects ``tile`` (spatial query)."""
+        """Display items whose rect intersects ``tile``, one of this
+        layer's tiles (spatial query), in ``cc_items`` order."""
+        items = self._cc_items
+        rect = tile.rect
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = self._bucket_items()
         return [
-            (item, cc_cell)
-            for item, cc_cell in self.cc_items
-            if item.rect.intersects(tile.rect)
+            items[pos]
+            for pos in buckets[(tile.col, tile.row)]
+            if items[pos][0].rect.intersects(rect)
         ]
 
+    def _bucket_items(self) -> Dict[Tuple[int, int], List[int]]:
+        buckets: Dict[Tuple[int, int], List[int]] = {key: [] for key in self.tiles}
+        for pos, (item, _cc_cell) in enumerate(self._cc_items):
+            r = item.rect
+            cols = _grid_span(r.x, r.right, self._cols)
+            for row in _grid_span(r.y, r.bottom, self._rows):
+                for col in cols:
+                    buckets[(col, row)].append(pos)
+        return buckets
+
     def tiles_intersecting(self, rect: Rect) -> Iterator[Tile]:
-        for tile in self.tiles.values():
-            if tile.rect.intersects(rect):
-                yield tile
+        """Tiles meeting ``rect``, in grid (row-major) order."""
+        tiles = self.tiles
+        cols = _grid_span(rect.x, rect.right, self._cols)
+        for row in _grid_span(rect.y, rect.bottom, self._rows):
+            for col in cols:
+                tile = tiles[(col, row)]
+                if tile.rect.intersects(rect):
+                    yield tile
 
     def tile_count(self) -> int:
         return len(self.tiles)

@@ -42,6 +42,15 @@ class VirtualClock:
     def tick(self, tid: int, instructions: int = 1) -> None:
         """Account for ``instructions`` executed by thread ``tid``."""
         cost = instructions * self.instr_cost_us
+        now = self._now_us
+        bucket = int(now // self.bucket_us)
+        room = (bucket + 1) * self.bucket_us - now
+        if 0 < cost <= room:
+            # The common case: the loop below would take exactly one step
+            # of the whole cost; same float operations, no loop.
+            self._busy[(bucket, tid)] += cost
+            self._now_us = now + cost
+            return
         # Attribute the busy time to the bucket where the work started;
         # bursts longer than a bucket are split across buckets.
         remaining = cost

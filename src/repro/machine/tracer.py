@@ -16,8 +16,9 @@ dynamic CFG construction (paper Section III-A) well-defined.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 from ..trace.records import (
     FRAME_BEGIN_MARKER,
@@ -59,8 +60,57 @@ class _ThreadState:
         self.stack: List[int] = [root_fn]
 
 
+class _NoThread:
+    """The current thread before any is spawned: every access raises."""
+
+    __slots__ = ()
+
+    @property
+    def tid(self) -> int:
+        raise RuntimeError("no thread spawned yet")
+
+    stack = tid
+
+
+_NO_THREAD: _ThreadState = _NoThread()  # type: ignore[assignment]
+
+_OP = InstrKind.OP
+_CMP = InstrKind.CMP
+_BRANCH = InstrKind.BRANCH
+_CALL = InstrKind.CALL
+_RET = InstrKind.RET
+_SYSCALL = InstrKind.SYSCALL
+_MARKER = InstrKind.MARKER
+_CMP_REGS_WRITTEN = (FLAGS,)
+_BRANCH_REGS_READ = (FLAGS,)
+
+
+class _Frame:
+    """``with tracer.function(...)``: CALL on enter, RET on exit."""
+
+    __slots__ = ("tracer", "name", "site")
+
+    def __init__(self, tracer: "Tracer", name: str, site: Optional[str]) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.site = site
+
+    def __enter__(self) -> None:
+        self.tracer.call(self.name, self.site)
+
+    def __exit__(self, *exc_info) -> None:
+        self.tracer.ret()
+
+
 class Tracer:
-    """Collects the instruction trace of the simulated tab process."""
+    """Collects the instruction trace of the simulated tab process.
+
+    The emit methods (:meth:`op`, :meth:`compare_and_branch`,
+    :meth:`call`, :meth:`ret`, :meth:`syscall`, :meth:`marker`) run once
+    per traced instruction, so they read the current thread and the pc
+    table through plain attribute and dict lookups and append straight to
+    the store's record list.
+    """
 
     def __init__(
         self,
@@ -70,10 +120,14 @@ class Tracer:
         self.symbols = symbols if symbols is not None else SymbolTable()
         self.clock = clock if clock is not None else VirtualClock()
         self.store = TraceStore(self.symbols, TraceMetadata())
-        self._sites: Dict[Tuple[int, str], int] = {}
-        self._site_counts: Dict[int, int] = {}
+        #: function symbol -> {emit-site label: pc}
+        self._sites: DefaultDict[int, Dict[str, int]] = defaultdict(dict)
+        #: callee name -> (symbol id, default call-site label)
+        self._callees: Dict[str, Tuple[int, str]] = {}
         self._threads: Dict[int, _ThreadState] = {}
-        self._tid: Optional[int] = None
+        self._current: _ThreadState = _NO_THREAD
+        self._records = self.store.records()
+        self._tick = self.clock.tick
 
     # ------------------------------------------------------------------ #
     # Threads                                                            #
@@ -86,60 +140,51 @@ class Tracer:
         root_fn = self.symbols.intern(root_function)
         self._threads[tid] = _ThreadState(tid, name, root_fn)
         self.store.metadata.thread_names[tid] = name
-        if self._tid is None:
-            self._tid = tid
+        if self._current is _NO_THREAD:
+            self._current = self._threads[tid]
 
     def switch(self, tid: int) -> None:
         """Make ``tid`` the currently executing thread."""
         if tid not in self._threads:
             raise KeyError(f"unknown thread {tid}")
-        self._tid = tid
+        self._current = self._threads[tid]
 
     @property
     def current_tid(self) -> int:
-        if self._tid is None:
-            raise RuntimeError("no thread spawned yet")
-        return self._tid
-
-    def _state(self) -> _ThreadState:
-        return self._threads[self.current_tid]
+        return self._current.tid
 
     def current_function(self) -> int:
         """Symbol id of the function on top of the current thread's stack."""
-        return self._state().stack[-1]
+        return self._current.stack[-1]
 
     # ------------------------------------------------------------------ #
     # pc management                                                      #
     # ------------------------------------------------------------------ #
 
     def _pc(self, fn: int, label: str) -> int:
-        key = (fn, label)
-        pc = self._sites.get(key)
-        if pc is None:
-            index = self._site_counts.get(fn, 0)
-            if index >= FN_SPAN:
-                raise OverflowError(
-                    f"function {self.symbols.name(fn)} exceeded {FN_SPAN} sites"
-                )
-            self._site_counts[fn] = index + 1
-            pc = (fn + 1) * FN_SPAN + index
-            self._sites[key] = pc
+        pc = self._sites[fn].get(label)
+        return self._new_site(fn, label) if pc is None else pc
+
+    def _new_site(self, fn: int, label: str) -> int:
+        sites = self._sites[fn]
+        index = len(sites)
+        if index >= FN_SPAN:
+            raise OverflowError(
+                f"function {self.symbols.name(fn)} exceeded {FN_SPAN} sites"
+            )
+        pc = sites[label] = (fn + 1) * FN_SPAN + index
         return pc
 
     def pc_of(self, function: str, label: str) -> Optional[int]:
         """Look up the pc of an already-observed emit site (diagnostics)."""
         fn = self.symbols.lookup(function)
-        if fn is None:
+        if fn is None or fn not in self._sites:
             return None
-        return self._sites.get((fn, label))
+        return self._sites[fn].get(label)
 
     # ------------------------------------------------------------------ #
     # Record emission                                                    #
     # ------------------------------------------------------------------ #
-
-    def _emit(self, record: TraceRecord) -> int:
-        self.clock.tick(record.tid)
-        return self.store.append(record)
 
     def op(
         self,
@@ -150,19 +195,21 @@ class Tracer:
         reg_writes: Tuple[int, ...] = (),
     ) -> int:
         """Emit an ordinary data-operation record at site ``label``."""
-        fn = self.current_function()
-        return self._emit(
+        state = self._current
+        tid = state.tid
+        fn = state.stack[-1]
+        pc = self._sites[fn].get(label)
+        if pc is None:
+            pc = self._new_site(fn, label)
+        self._tick(tid)
+        records = self._records
+        records.append(
             TraceRecord(
-                tid=self.current_tid,
-                pc=self._pc(fn, label),
-                kind=InstrKind.OP,
-                fn=fn,
-                regs_read=tuple(reg_reads),
-                regs_written=tuple(reg_writes),
-                mem_read=tuple(reads),
-                mem_written=tuple(writes),
+                tid, pc, _OP, fn,
+                tuple(reg_reads), tuple(reg_writes), tuple(reads), tuple(writes),
             )
         )
+        return len(records) - 1
 
     def compare_and_branch(self, label: str, reads: Tuple[int, ...]) -> None:
         """Emit a decision point: ``cmp`` (reads cells, sets FLAGS) + branch.
@@ -171,27 +218,22 @@ class Tracer:
         branch's dynamic successors (whatever records follow in this
         function) define the control dependences discovered by the CDG.
         """
-        fn = self.current_function()
-        tid = self.current_tid
-        self._emit(
+        state = self._current
+        tid = state.tid
+        fn = state.stack[-1]
+        tick = self._tick
+        append = self._records.append
+        pc = self._pc(fn, label + "$cmp")
+        tick(tid)
+        append(
             TraceRecord(
-                tid=tid,
-                pc=self._pc(fn, label + "$cmp"),
-                kind=InstrKind.CMP,
-                fn=fn,
-                regs_written=(FLAGS,),
-                mem_read=tuple(reads),
+                tid, pc, _CMP, fn,
+                regs_written=_CMP_REGS_WRITTEN, mem_read=tuple(reads),
             )
         )
-        self._emit(
-            TraceRecord(
-                tid=tid,
-                pc=self._pc(fn, label + "$br"),
-                kind=InstrKind.BRANCH,
-                fn=fn,
-                regs_read=(FLAGS,),
-            )
-        )
+        pc = self._pc(fn, label + "$br")
+        tick(tid)
+        append(TraceRecord(tid, pc, _BRANCH, fn, regs_read=_BRANCH_REGS_READ))
 
     # ------------------------------------------------------------------ #
     # Functions                                                          #
@@ -199,44 +241,41 @@ class Tracer:
 
     def call(self, function: str, site: Optional[str] = None) -> None:
         """Emit a CALL at the caller and push ``function``."""
-        state = self._state()
-        caller = state.stack[-1]
-        callee = self.symbols.intern(function)
-        label = site if site is not None else f"call:{function}"
-        self._emit(
-            TraceRecord(
-                tid=state.tid,
-                pc=self._pc(caller, label),
-                kind=InstrKind.CALL,
-                fn=caller,
+        state = self._current
+        tid = state.tid
+        stack = state.stack
+        caller = stack[-1]
+        callee = self._callees.get(function)
+        if callee is None:
+            callee = self._callees[function] = (
+                self.symbols.intern(function), "call:" + function
             )
-        )
-        state.stack.append(callee)
+        label = callee[1] if site is None else site
+        pc = self._sites[caller].get(label)
+        if pc is None:
+            pc = self._new_site(caller, label)
+        self._tick(tid)
+        self._records.append(TraceRecord(tid, pc, _CALL, caller))
+        stack.append(callee[0])
 
     def ret(self) -> None:
         """Emit a RET in the current function and pop it."""
-        state = self._state()
-        if len(state.stack) <= 1:
-            raise RuntimeError(f"thread {state.tid}: return from root frame")
-        fn = state.stack[-1]
-        self._emit(
-            TraceRecord(
-                tid=state.tid,
-                pc=self._pc(fn, "$ret"),
-                kind=InstrKind.RET,
-                fn=fn,
-            )
-        )
-        state.stack.pop()
+        state = self._current
+        tid = state.tid
+        stack = state.stack
+        if len(stack) <= 1:
+            raise RuntimeError(f"thread {tid}: return from root frame")
+        fn = stack[-1]
+        pc = self._sites[fn].get("$ret")
+        if pc is None:
+            pc = self._new_site(fn, "$ret")
+        self._tick(tid)
+        self._records.append(TraceRecord(tid, pc, _RET, fn))
+        stack.pop()
 
-    @contextmanager
-    def function(self, name: str, site: Optional[str] = None):
+    def function(self, name: str, site: Optional[str] = None) -> _Frame:
         """Context manager bracketing a function invocation."""
-        self.call(name, site)
-        try:
-            yield
-        finally:
-            self.ret()
+        return _Frame(self, name, site)
 
     # ------------------------------------------------------------------ #
     # Syscalls and markers                                               #
@@ -255,20 +294,20 @@ class Tracer:
         paper's Pin tool resolves ``buf``/``dest_addr`` pointers).
         """
         model = BY_NAME[name]
-        fn = self.current_function()
-        return self._emit(
+        state = self._current
+        tid = state.tid
+        fn = state.stack[-1]
+        pc = self._pc(fn, f"syscall:{name}")
+        self._tick(tid)
+        records = self._records
+        records.append(
             TraceRecord(
-                tid=self.current_tid,
-                pc=self._pc(fn, f"syscall:{name}"),
-                kind=InstrKind.SYSCALL,
-                fn=fn,
-                regs_read=SYSCALL_ARG_REGISTERS[: model.nargs],
-                regs_written=SYSCALL_RESULT_REGISTERS,
-                mem_read=tuple(reads),
-                mem_written=tuple(writes),
-                syscall=model.number,
+                tid, pc, _SYSCALL, fn,
+                SYSCALL_ARG_REGISTERS[: model.nargs], SYSCALL_RESULT_REGISTERS,
+                tuple(reads), tuple(writes), model.number,
             )
         )
+        return len(records) - 1
 
     def marker(self, tag: str, cells: Tuple[int, ...] = ()) -> int:
         """Emit a MARKER record (the paper's ``xchg %r13w,%r13w``).
@@ -277,17 +316,16 @@ class Tracer:
         cells) into the trace metadata — the equivalent of the external
         file written by the paper's modified ``PlaybackToMemory``.
         """
-        fn = self.current_function()
-        index = self._emit(
-            TraceRecord(
-                tid=self.current_tid,
-                pc=self._pc(fn, f"marker:{tag}"),
-                kind=InstrKind.MARKER,
-                fn=fn,
-                mem_read=tuple(cells),
-                marker=tag,
-            )
+        state = self._current
+        tid = state.tid
+        fn = state.stack[-1]
+        pc = self._pc(fn, f"marker:{tag}")
+        self._tick(tid)
+        records = self._records
+        records.append(
+            TraceRecord(tid, pc, _MARKER, fn, mem_read=tuple(cells), marker=tag)
         )
+        index = len(records) - 1
         if tag == TILE_MARKER:
             self.store.metadata.tile_buffers.append((index, tuple(cells)))
         elif tag == LOAD_COMPLETE_MARKER:

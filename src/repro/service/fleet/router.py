@@ -31,6 +31,16 @@ from ...trace.store import file_digest
 from .ring import FleetConfig, HashRing
 
 
+def workload_route_key(
+    workload: str,
+    criteria: str = "pixels",
+    engine: str = "sequential",
+    frame: Optional[int] = None,
+) -> str:
+    """Ring key a workload job routes by; its digest is unknown until it runs."""
+    return f"workload:{workload}:{criteria}:{engine}:{frame}"
+
+
 class FleetClient:
     """Submit jobs to an N-shard fleet by content-addressed ownership."""
 
@@ -152,7 +162,7 @@ class FleetClient:
         After the first run the server replicates the result to the true
         digest-keyed owner, so digest-routed lookups hit too.
         """
-        pseudo_key = f"workload:{workload}:{criteria}:{engine}:{frame}"
+        pseudo_key = workload_route_key(workload, criteria, engine, frame)
         spec: Dict[str, Any] = {
             "workload": workload,
             "criteria": criteria,

@@ -170,9 +170,16 @@ NO_REGS: Tuple[int, ...] = ()
 NO_MEM: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceRecord:
     """One dynamically executed instruction.
+
+    Records are slotted and read-only by convention: nothing assigns to a
+    field once a record is built (derive a changed copy with
+    :func:`dataclasses.replace`).  The class is not ``frozen`` because a
+    frozen ``__init__`` pays one ``object.__setattr__`` per field, and
+    the tracer builds one record per emitted instruction.  Records
+    compare and hash by value.
 
     Attributes:
         tid: id of the thread that executed the instruction.

@@ -20,7 +20,7 @@ Three on-disk formats share the ``.ucwa`` extension:
 the row-oriented v1/v2 encodings only.
 
 All v1/v2 parsing goes through one shared *section walker*
-(:class:`_RecordWalker` + :func:`_read_record` / :func:`_skip_record`), so
+(:class:`_RecordWalker` + :func:`_read_records` / :func:`_skip_record`), so
 the full loader, the epoch streamer's length-only skip pass, and the
 columnar converter can never disagree about where a section starts.
 """
@@ -50,7 +50,14 @@ from .symbols import SymbolTable
 _HEADER = b"UCWA2\n"
 _HEADER_V1 = b"UCWA1\n"
 _HEADER_V3 = b"UCWA3\n"
-_REC = struct.Struct("<IQBIhh")  # tid, pc, kind, fn, syscall(+1, -1=None), marker id(+1)
+_REC = struct.Struct("<IQBIhh")  # tid, pc, kind, fn, syscall (-1=None), marker id (-1=None)
+#: ``_REC`` plus the read-register count that always follows it.
+_REC_HEAD = struct.Struct("<IQBIhhB")
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+#: Decoded kind byte -> :class:`InstrKind` (kinds are numbered 0..n-1).
+_KINDS: Tuple[InstrKind, ...] = tuple(sorted(InstrKind))
+assert [int(kind) for kind in _KINDS] == list(range(len(_KINDS)))
 
 
 class TraceSource(Protocol):
@@ -156,6 +163,20 @@ def _pack_addr_list(addrs) -> bytes:
     return struct.pack("<H", len(addrs)) + struct.pack(f"<{len(addrs)}Q", *addrs)
 
 
+def _pack_head(rec: TraceRecord, marker_id: int) -> bytes:
+    """A record's fixed fields plus both register lists, as encoded."""
+    syscall = rec.syscall
+    if syscall is None:
+        syscall = -1
+    elif not 0 <= syscall < 1 << 15:
+        raise ValueError(f"syscall number {syscall} does not fit the format")
+    return b"".join((
+        _REC.pack(rec.tid, rec.pc, int(rec.kind), rec.fn, syscall, marker_id),
+        _U8.pack(len(rec.regs_read)), bytes(rec.regs_read),
+        _U8.pack(len(rec.regs_written)), bytes(rec.regs_written),
+    ))
+
+
 def _encode_metadata(meta: TraceMetadata) -> bytes:
     """Canonical v2 byte image of the metadata tail (maps sorted).
 
@@ -206,21 +227,42 @@ def serialize_trace(store: TraceSource) -> bytes:
         chunks.append(struct.pack("<H", len(raw)) + raw)
 
     chunks.append(struct.pack("<Q", len(store)))
+    # Records repeat a small set of heads (the fixed fields plus both
+    # register lists) and address lists: on the paper's pages about 95% of
+    # heads and 75-85% of address lists repeat an earlier one.  So each
+    # distinct one is packed once; the cache keys hold every encoded
+    # field, so a hit's bytes are exactly what packing would produce.
+    heads: dict = {}
+    addr_lists: dict = {}
+    append = chunks.append
     for rec in store.forward():
-        syscall = -1 if rec.syscall is None else rec.syscall
-        if rec.marker is None:
-            marker_id = -1
-        else:
-            marker_id = marker_ids.get(rec.marker)
-            if marker_id is None:
-                marker_id = len(markers)
-                markers.append(rec.marker)
-                marker_ids[rec.marker] = marker_id
-        chunks.append(_REC.pack(rec.tid, rec.pc, int(rec.kind), rec.fn, syscall, marker_id))
-        chunks.append(struct.pack("<B", len(rec.regs_read)) + bytes(rec.regs_read))
-        chunks.append(struct.pack("<B", len(rec.regs_written)) + bytes(rec.regs_written))
-        chunks.append(_pack_addr_list(rec.mem_read))
-        chunks.append(_pack_addr_list(rec.mem_written))
+        marker = rec.marker
+        head_key = (
+            rec.tid, rec.pc, rec.kind, rec.fn, rec.syscall, marker,
+            rec.regs_read, rec.regs_written,
+        )
+        head = heads.get(head_key)
+        if head is None:
+            if marker is None:
+                marker_id = -1
+            else:
+                marker_id = marker_ids.get(marker)
+                if marker_id is None:
+                    marker_id = len(markers)
+                    markers.append(marker)
+                    marker_ids[marker] = marker_id
+            head = heads[head_key] = _pack_head(rec, marker_id)
+        append(head)
+        mem = rec.mem_read
+        packed = addr_lists.get(mem)
+        if packed is None:
+            packed = addr_lists[mem] = _pack_addr_list(mem)
+        append(packed)
+        mem = rec.mem_written
+        packed = addr_lists.get(mem)
+        if packed is None:
+            packed = addr_lists[mem] = _pack_addr_list(mem)
+        append(packed)
 
     chunks.append(struct.pack("<H", len(markers)))
     for marker in markers:
@@ -288,10 +330,10 @@ class _Cursor:
             )
 
     def take(self, fmt: str):
-        st = struct.Struct(fmt)
-        self._need(st.size)
-        values = st.unpack_from(self.data, self.pos)
-        self.pos += st.size
+        size = struct.calcsize(fmt)
+        self._need(size)
+        values = struct.unpack_from(fmt, self.data, self.pos)
+        self.pos += size
         return values
 
     def take_bytes(self, n: int) -> bytes:
@@ -305,66 +347,128 @@ class _Cursor:
         self.pos += n
 
 
-#: Raw record fields, in :class:`TraceRecord` constructor order plus the
-#: still-unresolved marker id: (tid, pc, kind, fn, regs_read, regs_written,
-#: mem_read, mem_written, syscall-or-None, marker_id-or--1).
-RawRecord = Tuple[
-    int, int, int, int,
-    Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
-    Optional[int], int,
-]
+#: Records whose marker id is still unresolved: (list index, marker id).
+PendingMarkers = List[Tuple[int, int]]
 
 
-def _read_record(cur: _Cursor) -> RawRecord:
-    """Decode one record at the cursor (the single record-layout decoder)."""
-    tid, pc, kind, fn, syscall, marker_id = cur.take("<IQBIhh")
-    (n_rr,) = cur.take("<B")
-    regs_read = tuple(cur.take_bytes(n_rr))
-    (n_rw,) = cur.take("<B")
-    regs_written = tuple(cur.take_bytes(n_rw))
-    (n_mr,) = cur.take("<H")
-    mem_read = cur.take(f"<{n_mr}Q") if n_mr else ()
-    (n_mw,) = cur.take("<H")
-    mem_written = cur.take(f"<{n_mw}Q") if n_mw else ()
-    return (
-        tid, pc, kind, fn, regs_read, regs_written, mem_read, mem_written,
-        None if syscall < 0 else syscall, marker_id,
-    )
+def _read_records(cur: _Cursor, count: int) -> Tuple[List[TraceRecord], PendingMarkers]:
+    """Decode ``count`` records at the cursor (the single record decoder).
+
+    The marker-name table follows the record section, so records carrying
+    a marker id come back with ``marker=None`` and their (position, id)
+    in the pending list; :func:`_attach_markers` resolves them.  Hostile
+    bytes raise ``ValueError`` naming the file: a truncated record, an
+    unknown kind byte, or a syscall or marker field below -1 (which no
+    encoder writes and which would not re-serialize to the same bytes).
+    """
+    data = cur.data
+    pos = cur.pos
+    head_unpack = _REC_HEAD.unpack_from
+    head_size = _REC_HEAD.size
+    u16_unpack = _U16.unpack_from
+    unpack_from = struct.unpack_from
+    kinds = _KINDS
+    n_kinds = len(kinds)
+    records: List[TraceRecord] = []
+    append = records.append
+    pending: PendingMarkers = []
+    i = 0
+    try:
+        for i in range(count):
+            tid, pc, kind, fn, syscall, marker_id, n = head_unpack(data, pos)
+            pos += head_size
+            regs_read = tuple(data[pos : pos + n])
+            pos += n
+            # A register list cut short by the end of the data is caught
+            # by the next read, which then starts past the end.
+            n = data[pos]
+            pos += 1
+            regs_written = tuple(data[pos : pos + n])
+            pos += n
+            (n,) = u16_unpack(data, pos)
+            pos += 2
+            if n:
+                mem_read = unpack_from(f"<{n}Q", data, pos)
+                pos += 8 * n
+            else:
+                mem_read = ()
+            (n,) = u16_unpack(data, pos)
+            pos += 2
+            if n:
+                mem_written = unpack_from(f"<{n}Q", data, pos)
+                pos += 8 * n
+            else:
+                mem_written = ()
+            if kind >= n_kinds or syscall < -1 or marker_id < -1:
+                raise ValueError(
+                    f"{cur.label}: record {i}: "
+                    f"{_field_error(kind, syscall, marker_id)}"
+                )
+            if marker_id >= 0:
+                pending.append((i, marker_id))
+            append(TraceRecord(
+                tid, pc, kinds[kind], fn, regs_read, regs_written, mem_read,
+                mem_written, None if syscall < 0 else syscall,
+            ))
+    except (struct.error, IndexError):
+        raise ValueError(
+            f"{cur.label}: truncated trace file (record {i} runs past the "
+            f"end of the data at offset {pos})"
+        ) from None
+    cur.pos = pos
+    return records, pending
+
+
+def _field_error(kind: int, syscall: int, marker_id: int) -> str:
+    if kind >= len(_KINDS):
+        return f"unknown instruction kind {kind}"
+    if syscall < -1:
+        return f"syscall field {syscall} is below -1"
+    return f"marker field {marker_id} is below -1"
+
+
+def _attach_markers(
+    records: List[TraceRecord],
+    pending: PendingMarkers,
+    markers: List[str],
+    label: str,
+) -> None:
+    """Give each pending record its marker name from the marker table."""
+    for i, marker_id in pending:
+        if marker_id >= len(markers):
+            raise ValueError(
+                f"{label}: record marker id {marker_id} is out of range "
+                f"(the marker table holds {len(markers)})"
+            )
+        r = records[i]
+        records[i] = TraceRecord(
+            r.tid, r.pc, r.kind, r.fn, r.regs_read, r.regs_written,
+            r.mem_read, r.mem_written, r.syscall, markers[marker_id],
+        )
 
 
 def _skip_record(cur: _Cursor) -> None:
     """Advance the cursor past one record using only its length fields.
 
-    Walks the same fields in the same order as :func:`_read_record`, so the
-    two can never disagree about a record's extent — the regression tests
-    assert both land on identical section boundaries.
+    Walks the same fields in the same order as :func:`_read_records`, so
+    the two can never disagree about a record's extent — the regression
+    tests assert both land on identical section boundaries.
     """
-    cur.skip(_REC.size)
-    (n_rr,) = cur.take("<B")
-    cur.skip(n_rr)
-    (n_rw,) = cur.take("<B")
-    cur.skip(n_rw)
-    (n_mr,) = cur.take("<H")
-    cur.skip(8 * n_mr)
-    (n_mw,) = cur.take("<H")
-    cur.skip(8 * n_mw)
-
-
-def _materialize(raw: RawRecord, markers: List[str]) -> TraceRecord:
-    (tid, pc, kind, fn, regs_read, regs_written, mem_read, mem_written,
-     syscall, marker_id) = raw
-    return TraceRecord(
-        tid=tid,
-        pc=pc,
-        kind=InstrKind(kind),
-        fn=fn,
-        regs_read=regs_read,
-        regs_written=regs_written,
-        mem_read=mem_read,
-        mem_written=mem_written,
-        syscall=syscall,
-        marker=None if marker_id < 0 else markers[marker_id],
-    )
+    data = cur.data
+    pos = cur.pos + _REC.size
+    try:
+        pos += 1 + data[pos]
+        pos += 1 + data[pos]
+        pos += 2 + 8 * _U16.unpack_from(data, pos)[0]
+        pos += 2 + 8 * _U16.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise IndexError(pos)
+    except (struct.error, IndexError):
+        raise ValueError(
+            f"{cur.label}: truncated trace file (record at offset {cur.pos} "
+            f"runs past the end of the data)"
+        ) from None
+    cur.pos = pos
 
 
 class _RecordWalker:
@@ -413,8 +517,8 @@ class _RecordWalker:
         assert self._records_pos is not None, "read_symbols() first"
         self.cur.pos = self._records_pos
 
-    def read_record(self) -> RawRecord:
-        return _read_record(self.cur)
+    def read_records(self, count: int) -> Tuple[List[TraceRecord], PendingMarkers]:
+        return _read_records(self.cur, count)
 
     def read_markers(self) -> List[str]:
         cur = self.cur
@@ -466,15 +570,12 @@ def load_trace(path: Union[str, Path]) -> TraceStore:
     walker = _RecordWalker(data, str(path))
     symbols = walker.read_symbols()
 
-    raw_records: List[RawRecord] = [
-        walker.read_record() for _ in range(walker.n_records)
-    ]
+    records, pending = walker.read_records(walker.n_records)
     markers = walker.read_markers()
+    _attach_markers(records, pending, markers, walker.path)
 
     store = TraceStore(symbols)
-    append = store.append
-    for raw in raw_records:
-        append(_materialize(raw, markers))
+    store.extend(records)
     walker.read_metadata(store.metadata)
     return store
 
@@ -528,8 +629,7 @@ def iter_trace_epochs(
     while index < n_records:
         lo = index
         hi = min(index + epoch_size, n_records)
-        chunk = [
-            _materialize(walker.read_record(), markers) for _ in range(hi - lo)
-        ]
+        chunk, pending = walker.read_records(hi - lo)
+        _attach_markers(chunk, pending, markers, walker.path)
         yield lo, hi, chunk
         index = hi

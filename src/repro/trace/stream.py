@@ -42,8 +42,8 @@ from .store import (
     TraceStore,
     _HEADER_V3,
     _Cursor,
-    _materialize,
-    _read_record,
+    _attach_markers,
+    _read_records,
     _RecordWalker,
     _skip_record,
 )
@@ -260,10 +260,9 @@ class _FileStreamV2(EpochStream):
         cur.pos = self._offsets[lo // OFFSET_STRIDE]
         for _ in range(lo % OFFSET_STRIDE):
             _skip_record(cur)
-        markers = self._markers
-        return [
-            _materialize(_read_record(cur), markers) for _ in range(hi - lo)
-        ]
+        records, pending = _read_records(cur, hi - lo)
+        _attach_markers(records, pending, self._markers, self._label)
+        return records
 
 
 def open_epoch_stream(

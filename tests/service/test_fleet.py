@@ -6,13 +6,17 @@ acceptance gate: a fleet must return byte-identical results (flags
 sha256) to a single-node AF_UNIX daemon for the same trace digests.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.service.cache import cache_key
 from repro.service.client import ServiceClient
-from repro.service.fleet.router import FleetClient
+from repro.service.fleet.router import FleetClient, workload_route_key
 
 TOKEN = "test-fleet-secret"
+GOLDEN_DIGESTS = Path(__file__).parents[1] / "harness" / "goldens" / "trace_digests.json"
 
 
 def _fleet_client(supervisor):
@@ -164,14 +168,30 @@ def test_locally_computed_results_replicate_to_their_owner(fleet_factory):
     """Workload jobs (digest unknown at submit) replicate post-hoc."""
     supervisor = fleet_factory(n_shards=2)
     fc = _fleet_client(supervisor)
-    response = fc.submit_workload("wiki_article", wait=True)
+    digest = json.loads(GOLDEN_DIGESTS.read_text())["wiki_article"]
+    # Cache keys hash the analyzer's source (code_version), so which
+    # question's routing key and cache key share a shard changes with
+    # every code change: pick one whose two owners differ before asking.
+    ring = fc.ring
+    apart = [
+        (criteria, engine)
+        for engine in ("sequential", "incremental")
+        for criteria in ("pixels", "syscalls", "pixels+syscalls")
+        if ring.owner(workload_route_key("wiki_article", criteria, engine))
+        != ring.owner(cache_key(digest, criteria, engine, None))
+    ]
+    if not apart:
+        pytest.skip("every question's routing and cache keys share a shard")
+    criteria, engine = apart[0]
+    ran_on = ring.owner(workload_route_key("wiki_article", criteria, engine))
+    key = cache_key(digest, criteria, engine, None)
+    owner = ring.owner(key)
+    response = fc.submit_workload(
+        "wiki_article", criteria=criteria, engine=engine, wait=True
+    )
     assert response["outcome"] == "ok"
-    ran_on = response["shard"]
-    digest = response["result"]["trace_digest"]
-    key = cache_key(digest, "pixels", "sequential", None)
-    owner = fc.ring.owner(key)
-    if owner == ran_on:
-        pytest.skip("pseudo-key and digest key landed on the same shard")
+    assert response["shard"] == ran_on
+    assert response["result"]["trace_digest"] == digest
     found = supervisor.server(owner).cache.lookup(key)
     assert found is not None  # replica arrived at the digest-keyed owner
     assert supervisor.server(ran_on).metrics.counter("replicated") == 1
