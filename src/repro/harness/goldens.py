@@ -19,18 +19,31 @@ the browser, tracer or trace codec must leave every digest unchanged;
 regenerate with::
 
     PYTHONPATH=src python -m repro.harness.goldens --digests tests/harness/goldens/trace_digests.json
+
+:func:`collect_slice_digests` freezes what the profiler computes on
+those traces: per workload, a sha256 of the control-dependence map; per
+criteria family, sha256s of the slice flags, of the Figure 4 timeline
+and of the join reasons, plus the per-kind reason counts; and for the
+multi-frame workloads, every frame's ``(total, in_slice, redundant)``
+(``tests/harness/goldens/slice_digests.json``).  Speed-ups of the
+forward pass, the backward walk or the statistics must leave it
+unchanged; regenerate with::
+
+    PYTHONPATH=src python -m repro.harness.goldens --slices tests/harness/goldens/slice_digests.json
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Dict
+from typing import Dict, List
 
 from ..analysis.coverage import coverage_row
 from ..analysis.utilization import busy_fraction, find_spikes
 from ..browser.context import MAIN_THREAD
+from ..profiler import SlicerOptions, analyze_frames, criteria_from_name, reason_summary
 from ..trace.store import trace_digest
-from ..workloads import benchmark_names
+from ..workloads import MULTIFRAME_BENCHMARKS, benchmark_names
 from ..workloads.fuzz import random_page
 from . import paper
 from .experiments import cached_run, run_engine
@@ -103,15 +116,71 @@ def collect_trace_digests() -> Dict[str, str]:
     return digests
 
 
+#: Criteria families whose slices are frozen for every workload.
+SLICE_CRITERIA = ("pixels", "syscalls", "pixels+syscalls")
+
+
+def _sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def collect_slice_digests() -> Dict[str, Dict]:
+    """Forward- and backward-pass outputs of every registered workload.
+
+    Each workload's trace and forward pass come from :func:`cached_run`.
+    Flags and the timeline are taken from a default-options slice at
+    ``run_benchmark``'s ``sample_every``; the reasons from a second slice
+    with ``track_reasons`` on, whose flags must equal the first's.
+    """
+    digests: Dict[str, Dict] = {}
+    for name in benchmark_names():
+        run = cached_run(name)
+        store, profiler = run.store, run.profiler
+        cd = profiler.control_dependence_index()._cd
+        entry: Dict = {"cdg": _sha256_json(sorted(cd.items()))}
+        sample_every = max(1, len(store) // 200)
+        for family in SLICE_CRITERIA:
+            criteria = criteria_from_name(store, family)
+            plain = profiler.slice(criteria, sample_every=sample_every)
+            traced = profiler.slice(criteria, options=SlicerOptions(track_reasons=True))
+            if traced.flags != plain.flags:
+                raise AssertionError(f"{name} {family}: track_reasons changed the flags")
+            entry[family] = {
+                "flags": hashlib.sha256(plain.flags).hexdigest(),
+                "timeline": _sha256_json([
+                    (s.processed, s.in_slice, s.processed_main, s.in_slice_main)
+                    for s in plain.timeline
+                ]),
+                "reasons": _sha256_json(sorted(traced.reasons.items())),
+                "reason_counts": reason_summary(traced),
+            }
+        if name in MULTIFRAME_BENCHMARKS:
+            frames: List = [
+                [frame.total, frame.in_slice, frame.redundant]
+                for frame in analyze_frames(store).frames
+            ]
+            entry["frames"] = frames
+        digests[name] = entry
+    return digests
+
+
+#: ``--flag`` -> collector; no flag collects the paper numbers.
+COLLECTORS = {
+    "--digests": collect_trace_digests,
+    "--slices": collect_slice_digests,
+}
+
+
 def main(argv) -> int:
-    digests = argv[:1] == ["--digests"]
-    if digests:
+    collect = collect_paper_numbers
+    if argv[:1] and argv[0] in COLLECTORS:
+        collect = COLLECTORS[argv[0]]
         argv = argv[1:]
     if len(argv) != 1:
         print(__doc__)
         return 2
     path = argv[0]
-    numbers = collect_trace_digests() if digests else collect_paper_numbers()
+    numbers = collect()
     with open(path, "w") as fh:
         json.dump(numbers, fh, indent=2, sort_keys=True)
         fh.write("\n")
