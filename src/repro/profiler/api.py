@@ -45,9 +45,13 @@ ENGINES = ("sequential", "parallel", "vectorized", "incremental")
 class Profiler:
     """Dynamic backward-slicing profiler over one instruction trace."""
 
-    def __init__(self, store: TraceStore) -> None:
+    def __init__(
+        self, store: TraceStore, cdi: Optional[ControlDependenceIndex] = None
+    ) -> None:
         self._store = store
-        self._cdi: Optional[ControlDependenceIndex] = None
+        #: the forward pass's output; pass one in to reuse a CDG built
+        #: (or loaded) elsewhere for the same trace.
+        self._cdi = cdi
         self._checkpoint: Optional["SliceCheckpoint"] = None
 
     def slice_checkpoint(self) -> "SliceCheckpoint":
@@ -69,9 +73,13 @@ class Profiler:
         return self._store
 
     def control_dependence_index(self) -> ControlDependenceIndex:
-        """Run (or reuse) the forward pass: CFGs + postdominators + CDG."""
+        """Run (or reuse) the forward pass: CFGs + postdominators + CDG.
+
+        Reads ``records()``, not ``forward()``: a columnar trace then
+        rebuilds its records once, and the backward walk reuses them.
+        """
         if self._cdi is None:
-            self._cdi = ControlDependenceIndex(build_cfgs(self._store.forward()))
+            self._cdi = ControlDependenceIndex(build_cfgs(self._store.records()))
         return self._cdi
 
     def slice(

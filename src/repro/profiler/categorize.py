@@ -12,7 +12,10 @@ Compositing, Graphics, CSS, Other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, not_
 from typing import Dict, List, Optional, Tuple
 
 from ..trace.store import TraceStore
@@ -126,17 +129,15 @@ def categorize_unnecessary(
     ]
     counts: Dict[str, int] = {cat: 0 for cat in CATEGORIES}
     uncategorized = 0
-    total = 0
-    flags = result.flags
-    for i, rec in enumerate(store.forward()):
-        if flags[i]:
-            continue
-        total += 1
-        category = sym_category[rec.fn]
+    outside = map(not_, result.flags)
+    per_fn = Counter(compress(map(attrgetter("fn"), store.forward()), outside))
+    for fn, count in per_fn.items():
+        category = sym_category[fn]
         if category is None:
-            uncategorized += 1
+            uncategorized += count
         else:
-            counts[category] += 1
+            counts[category] += count
+    total = sum(per_fn.values())
     return CategoryDistribution(
         counts=counts, uncategorized=uncategorized, total_unnecessary=total
     )

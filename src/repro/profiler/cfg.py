@@ -73,15 +73,20 @@ class FunctionCFG:
 
 
 class _Frame:
-    """One live invocation during forward stack reconstruction."""
+    """One live invocation during forward stack reconstruction.
 
-    __slots__ = ("fn", "last_pc", "awaiting_callee", "call_pc")
+    ``last_succs`` is the successor set of ``last_pc`` in ``cfg``, so the
+    next record of the invocation adds its edge without a node lookup.
+    """
 
-    def __init__(self, fn: int) -> None:
+    __slots__ = ("fn", "cfg", "last_pc", "last_succs", "awaiting_callee")
+
+    def __init__(self, fn: int, cfg: FunctionCFG) -> None:
         self.fn = fn
+        self.cfg = cfg
         self.last_pc: Optional[int] = None
+        self.last_succs: Optional[Set[int]] = None
         self.awaiting_callee = False
-        self.call_pc: Optional[int] = None
 
 
 class DynamicCFGBuilder:
@@ -96,52 +101,77 @@ class DynamicCFGBuilder:
         self._cfgs: Dict[int, FunctionCFG] = {}
         self._stacks: Dict[int, List[_Frame]] = {}
 
-    def _cfg(self, fn: int) -> FunctionCFG:
-        cfg = self._cfgs.get(fn)
-        if cfg is None:
-            cfg = FunctionCFG(fn)
-            self._cfgs[fn] = cfg
-        return cfg
-
     def feed(self, record: TraceRecord) -> None:
-        stack = self._stacks.setdefault(record.tid, [])
+        self.feed_many((record,))
 
-        if stack and stack[-1].awaiting_callee:
-            # Previous record in this thread was a CALL: this record is the
-            # first instruction of the callee.
-            stack[-1].awaiting_callee = False
-            stack.append(_Frame(record.fn))
-        elif not stack:
-            stack.append(_Frame(record.fn))  # thread root frame
-        elif stack[-1].fn != record.fn:
-            # Should not happen with balanced CALL/RET; tolerate anomalies
-            # (e.g. hand-built traces) by re-basing onto a fresh frame.
-            stack.append(_Frame(record.fn))
+    def feed_many(self, records: Iterable[TraceRecord]) -> None:
+        """Add ``records`` (in execution order) to the CFGs.
 
-        frame = stack[-1]
-        cfg = self._cfg(frame.fn)
-        cfg.add_node(record.pc)
-        if frame.last_pc is None:
-            cfg.entries.add(record.pc)
-        else:
-            cfg.add_edge(frame.last_pc, record.pc)
-        frame.last_pc = record.pc
+        The one forward loop: the thread's stack and top frame are looked
+        up only when the tid changes, and a CFG's ``succs``/``preds`` are
+        written only for a new node or a new edge.
+        """
+        cfgs = self._cfgs
+        stacks = self._stacks
+        BRANCH = InstrKind.BRANCH
+        CALL = InstrKind.CALL
+        RET = InstrKind.RET
+        cur_tid = None
+        stack: List[_Frame] = []
+        frame: Optional[_Frame] = None
+        for rec in records:
+            tid = rec.tid
+            if tid != cur_tid:
+                cur_tid = tid
+                stack = stacks.get(tid)
+                if stack is None:
+                    stack = stacks[tid] = []
+                frame = stack[-1] if stack else None
+            fn = rec.fn
+            if frame is None or frame.awaiting_callee or frame.fn != fn:
+                # A thread root, the callee of the previous CALL, or (with
+                # unbalanced CALL/RET, e.g. hand-built traces) an
+                # unexpected function: each starts a fresh frame.
+                if frame is not None:
+                    frame.awaiting_callee = False
+                cfg = cfgs.get(fn)
+                if cfg is None:
+                    cfg = cfgs[fn] = FunctionCFG(fn)
+                frame = _Frame(fn, cfg)
+                stack.append(frame)
+            else:
+                cfg = frame.cfg
+            pc = rec.pc
+            succs = cfg.succs
+            pc_succs = succs.get(pc)
+            if pc_succs is None:
+                pc_succs = succs[pc] = set()
+                cfg.preds[pc] = set()
+            last_succs = frame.last_succs
+            if last_succs is None:
+                cfg.entries.add(pc)
+            elif pc not in last_succs:
+                last_succs.add(pc)
+                cfg.preds[pc].add(frame.last_pc)
+            frame.last_pc = pc
+            frame.last_succs = pc_succs
 
-        kind = record.kind
-        if kind == InstrKind.BRANCH:
-            cfg.branch_pcs.add(record.pc)
-        elif kind == InstrKind.CALL:
-            frame.awaiting_callee = True
-        elif kind == InstrKind.RET:
-            cfg.exits.add(record.pc)
-            stack.pop()
+            kind = rec.kind
+            if kind == BRANCH:
+                cfg.branch_pcs.add(pc)
+            elif kind == CALL:
+                frame.awaiting_callee = True
+            elif kind == RET:
+                cfg.exits.add(pc)
+                stack.pop()
+                frame = stack[-1] if stack else None
 
     def finish(self) -> Dict[int, FunctionCFG]:
         """Close truncated frames and seal every CFG."""
         for stack in self._stacks.values():
             for frame in stack:
                 if frame.last_pc is not None:
-                    self._cfg(frame.fn).exits.add(frame.last_pc)
+                    frame.cfg.exits.add(frame.last_pc)
         for cfg in self._cfgs.values():
             cfg.seal()
         return self._cfgs
@@ -150,6 +180,5 @@ class DynamicCFGBuilder:
 def build_cfgs(records: Iterable[TraceRecord]) -> Dict[int, FunctionCFG]:
     """Convenience wrapper: build all function CFGs from a record stream."""
     builder = DynamicCFGBuilder()
-    for record in records:
-        builder.feed(record)
+    builder.feed_many(records)
     return builder.finish()

@@ -45,6 +45,7 @@ See ``docs/incremental-slicing.md``.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -528,11 +529,8 @@ class IncrementalCDI:
         self._cd: Dict[int, Tuple[int, ...]] = {}
 
     def feed(self, records: Sequence[TraceRecord]) -> None:
-        feed = self._builder.feed
-        dirty = self._dirty
-        for rec in records:
-            feed(rec)
-            dirty.add(rec.fn)
+        self._builder.feed_many(records)
+        self._dirty.update(map(attrgetter("fn"), records))
 
     def _sealed_copy(self, fn: int) -> FunctionCFG:
         cfg = self._builder._cfgs[fn]

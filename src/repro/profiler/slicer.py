@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..machine.syscalls import BY_NUMBER
 from ..trace.records import InstrKind
 from ..trace.store import TraceStore
 from .cdg import ControlDependenceIndex
@@ -85,7 +84,8 @@ class SliceResult:
     criteria_name: str
     flags: bytearray  # flags[i] == 1 iff record i is in the slice
     timeline: List[TimelineSample] = field(default_factory=list)
-    #: number of records actually visited (== len(flags) unless windowed)
+    #: number of records the walk visited; every engine walks the whole
+    #: trace, windowed criteria included, so this is ``len(flags)``
     visited: int = 0
     #: record index -> (reason kind, detail), when reasons were tracked.
     #: kinds: "data" (a written cell was live), "register", "control"
@@ -153,157 +153,193 @@ class BackwardSlicer:
         n = len(records)
         flags = bytearray(n)
         result = SliceResult(criteria_name=self._criteria.name, flags=flags)
+        timeline = result.timeline
 
-        crit_by_index = self._criteria.by_index()
-        include_syscalls = self._criteria.include_syscalls
-        window_end = self._criteria.window_end
+        # Criteria points, popped in walk order (highest index first);
+        # -1 is never reached.
+        points = sorted(
+            (index, crit)
+            for index, crit in self._criteria.by_index().items()
+            if index < n
+        )
+        next_point, crit = points.pop() if points else (-1, None)
+        syscalls_until = (
+            -1 if not self._criteria.include_syscalls
+            else n if self._criteria.window_end is None
+            else self._criteria.window_end
+        )
         options = self._options
-        deps_of = self._cdi.deps_of if options.control_dependences else (lambda pc: ())
+        cd = self._cdi._cd if options.control_dependences else {}
+        cd_get = cd.get
+        call_sites = options.call_site_dependences
         reasons: Optional[Dict[int, Tuple[str, int]]] = (
             {} if options.track_reasons else None
         )
         if reasons is not None:
             result.reasons = reasons
+        reason: Tuple[str, int] = ("data", -1)
 
         live_mem: Set[int] = set()
         live_regs: Dict[int, Set[int]] = {}
         pending: Dict[int, Set[int]] = {}
         stacks: Dict[int, List[_BackwardFrame]] = {}
 
-        processed = 0
         in_slice_count = 0
         processed_main = 0
         in_slice_main = 0
         main_tid = self._main_tid
         sample_every = self._sample_every
+        # The record index after which ``n - i`` (records processed) is
+        # the next multiple of ``sample_every``; -1 never comes.
+        sample_at = n - sample_every if sample_every else -1
+        RET = InstrKind.RET
+        CALL = InstrKind.CALL
+        BRANCH = InstrKind.BRANCH
+        SYSCALL = InstrKind.SYSCALL
 
-        for i in range(n - 1, -1, -1):
-            rec = records[i]
+        # Per-thread state, switched only when the tid changes.
+        cur_tid = None
+        stack: List[_BackwardFrame] = []
+        tregs: Set[int] = set()
+        tpending: Set[int] = set()
+        is_main = False
+
+        for i, rec in zip(range(n - 1, -1, -1), reversed(records)):
             tid = rec.tid
+            if tid != cur_tid:
+                cur_tid = tid
+                stack = stacks.get(tid)
+                if stack is None:
+                    stack = stacks[tid] = []
+                tregs = live_regs.get(tid)
+                if tregs is None:
+                    tregs = live_regs[tid] = set()
+                tpending = pending.get(tid)
+                if tpending is None:
+                    tpending = pending[tid] = set()
+                is_main = tid == main_tid
 
             # -- criteria seeding -------------------------------------- #
-            crit = crit_by_index.get(i)
-            if crit is not None:
+            if i == next_point:
                 live_mem.update(crit.cells)
                 for reg_tid, reg in crit.regs:
-                    live_regs.setdefault(reg_tid, set()).add(reg)
+                    regs = live_regs.get(reg_tid)
+                    if regs is None:
+                        regs = live_regs[reg_tid] = set()
+                    regs.add(reg)
+                next_point, crit = points.pop() if points else (-1, None)
 
             # -- backward frame reconstruction ------------------------- #
-            stack = stacks.setdefault(tid, [])
             kind = rec.kind
-            if kind == InstrKind.RET:
+            if kind == RET:
                 stack.append(_BackwardFrame(rec.fn, ret_index=i))
-                processed += 1
-                if tid == main_tid:
+                if is_main:
                     processed_main += 1
-                if sample_every and processed % sample_every == 0:
-                    result.timeline.append(
-                        TimelineSample(processed, in_slice_count, processed_main, in_slice_main)
-                    )
+                if i == sample_at:
+                    timeline.append(TimelineSample(
+                        n - i, in_slice_count, processed_main, in_slice_main
+                    ))
+                    sample_at -= sample_every
                 continue
 
-            if not stack:
-                stack.append(_BackwardFrame(rec.fn, ret_index=None, is_root=True))
-            elif stack[-1].fn != rec.fn and kind != InstrKind.CALL:
-                # Frame entered but never returned before trace truncation.
-                stack.append(_BackwardFrame(rec.fn, ret_index=None, is_root=True))
-
-            frame = stack[-1]
-            tregs = live_regs.get(tid)
-            tpending = pending.get(tid)
+            fn = rec.fn
+            if stack:
+                frame = stack[-1]
+                if frame.fn != fn and kind != CALL:
+                    # A frame entered but never returned before trace
+                    # truncation.
+                    frame = _BackwardFrame(fn, ret_index=None, is_root=True)
+                    stack.append(frame)
+            else:  # thread root
+                frame = _BackwardFrame(fn, ret_index=None, is_root=True)
+                stack.append(frame)
 
             in_slice = False
-            reason: Tuple[str, int] = ("data", -1)
-
-            if kind == InstrKind.CALL:
+            if kind == CALL:
                 # Close the callee frame (pushed when its RET was met, or a
                 # synthetic root for truncated invocations).
-                callee: Optional[_BackwardFrame] = None
-                if stack and (not stack[-1].is_root or stack[-1].fn != rec.fn):
+                if not frame.is_root or frame.fn != fn:
                     callee = stack.pop()
-                if callee is not None and callee.needed and options.call_site_dependences:
-                    in_slice = True
-                    reason = ("call", callee.fn)
-                    if callee.ret_index is not None and not flags[callee.ret_index]:
-                        flags[callee.ret_index] = 1
-                        in_slice_count += 1
-                        if tid == main_tid:
-                            in_slice_main += 1
-                        if reasons is not None:
-                            # The RET joins retroactively, paired with this
-                            # CALL; without a reason entry here the reason
-                            # counts would not sum to the slice size.
-                            reasons[callee.ret_index] = ("call", callee.fn)
-                # The frame the CALL itself belongs to:
-                if not stack:
-                    stack.append(_BackwardFrame(rec.fn, ret_index=None, is_root=True))
-                frame = stack[-1]
-            elif kind == InstrKind.BRANCH:
-                if tpending and rec.pc in tpending:
+                    if callee.needed and call_sites:
+                        in_slice = True
+                        reason = ("call", callee.fn)
+                        ret_index = callee.ret_index
+                        if ret_index is not None and not flags[ret_index]:
+                            flags[ret_index] = 1
+                            in_slice_count += 1
+                            if is_main:
+                                in_slice_main += 1
+                            if reasons is not None:
+                                # The RET joins retroactively, paired with
+                                # this CALL; without a reason entry here the
+                                # reason counts would not sum to the slice
+                                # size.
+                                reasons[ret_index] = reason
+                    # The frame the CALL itself belongs to:
+                    if not stack:
+                        stack.append(_BackwardFrame(fn, ret_index=None, is_root=True))
+                    frame = stack[-1]
+            elif kind == BRANCH:
+                if rec.pc in tpending:
                     in_slice = True
                     reason = ("control", rec.pc)
                     tpending.discard(rec.pc)
-            elif kind == InstrKind.SYSCALL:
-                if include_syscalls and (window_end is None or i <= window_end):
+            elif kind == SYSCALL:
+                if i <= syscalls_until:
                     in_slice = True
                     reason = ("syscall", rec.syscall or 0)
 
             # -- liveness rule (data dependences) ---------------------- #
+            written = rec.mem_written
             if not in_slice:
-                for addr in rec.mem_written:
-                    if addr in live_mem:
+                if written and not live_mem.isdisjoint(written):
+                    in_slice = True
+                    if reasons is not None:
+                        reason = ("data", next(a for a in written if a in live_mem))
+                elif tregs:
+                    regs = rec.regs_written
+                    if regs and not tregs.isdisjoint(regs):
                         in_slice = True
-                        reason = ("data", addr)
-                        break
-                if not in_slice and tregs:
-                    for reg in rec.regs_written:
-                        if reg in tregs:
-                            in_slice = True
-                            reason = ("register", reg)
-                            break
+                        if reasons is not None:
+                            reason = ("register", next(r for r in regs if r in tregs))
 
             if in_slice:
-                # Kill definitions, gen uses.
-                if rec.mem_written:
-                    live_mem.difference_update(rec.mem_written)
+                # Kill definitions, gen uses.  (A non-RET record is never
+                # flagged before it is visited: only RETs join
+                # retroactively.)
+                if written:
+                    live_mem.difference_update(written)
                 if rec.regs_written:
-                    if tregs is None:
-                        tregs = live_regs.setdefault(tid, set())
                     tregs.difference_update(rec.regs_written)
                 if rec.mem_read:
                     live_mem.update(rec.mem_read)
                 if rec.regs_read:
-                    if tregs is None:
-                        tregs = live_regs.setdefault(tid, set())
                     tregs.update(rec.regs_read)
                 # Control dependences become pending.
-                cdeps = deps_of(rec.pc)
+                cdeps = cd_get(rec.pc)
                 if cdeps:
-                    if tpending is None:
-                        tpending = pending.setdefault(tid, set())
                     tpending.update(cdeps)
                 # Dynamic call-site dependence: this invocation is useful.
                 frame.needed = True
                 if reasons is not None:
                     reasons[i] = reason
-                if not flags[i]:
-                    flags[i] = 1
-                    in_slice_count += 1
-                    if tid == main_tid:
-                        in_slice_main += 1
+                flags[i] = 1
+                in_slice_count += 1
+                if is_main:
+                    in_slice_main += 1
 
-            processed += 1
-            if tid == main_tid:
+            if is_main:
                 processed_main += 1
-            if sample_every and processed % sample_every == 0:
-                result.timeline.append(
-                    TimelineSample(processed, in_slice_count, processed_main, in_slice_main)
-                )
+            if i == sample_at:
+                timeline.append(TimelineSample(
+                    n - i, in_slice_count, processed_main, in_slice_main
+                ))
+                sample_at -= sample_every
 
-        result.visited = processed
+        result.visited = n
         if sample_every:
-            result.timeline.append(
-                TimelineSample(processed, in_slice_count, processed_main, in_slice_main)
+            timeline.append(
+                TimelineSample(n, in_slice_count, processed_main, in_slice_main)
             )
         return result
 
@@ -318,37 +354,18 @@ def slice_trace(
     epoch_size: Optional[int] = None,
     checkpoint=None,
 ) -> SliceResult:
-    """One-call convenience: forward pass (if needed) + backward pass."""
-    if cdi is None:
-        from .cdg import build_index
+    """One-call convenience over :meth:`repro.profiler.Profiler.slice`.
 
-        cdi = build_index(store.forward())
-    if engine == "parallel":
-        from .parallel import ParallelSlicer
+    The forward pass runs only if the engine needs it and ``cdi`` is not
+    given (a vectorized slice of an indexed UCWA3 trace needs none).
+    """
+    from .api import Profiler
 
-        return ParallelSlicer(
-            store,
-            cdi,
-            criteria,
-            workers=workers,
-            epoch_size=epoch_size,
-            sample_every=sample_every,
-        ).run()
-    if engine == "vectorized":
-        from .vectorized import VectorizedSlicer
-
-        return VectorizedSlicer(
-            store, cdi, criteria, sample_every=sample_every
-        ).run()
-    if engine == "incremental":
-        from .incremental import IncrementalSlicer
-
-        return IncrementalSlicer(
-            store, cdi, criteria, checkpoint=checkpoint, sample_every=sample_every
-        ).run()
-    if engine != "sequential":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'sequential', 'parallel', "
-            f"'vectorized', or 'incremental'"
-        )
-    return BackwardSlicer(store, cdi, criteria, sample_every=sample_every).run()
+    return Profiler(store, cdi).slice(
+        criteria,
+        sample_every=sample_every,
+        engine=engine,
+        workers=workers,
+        epoch_size=epoch_size,
+        checkpoint=checkpoint,
+    )

@@ -9,8 +9,11 @@ backward-pass timeline series.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from operator import attrgetter
+from typing import List, Optional, Tuple
 
 from ..trace.store import TraceStore
 from .slicer import SliceResult
@@ -57,20 +60,15 @@ def compute_statistics(store: TraceStore, result: SliceResult) -> SliceStatistic
     """Per-thread and overall slice statistics.
 
     Columnar traces expose a vectorized ``thread_slice_counts`` hook (two
-    ``bincount`` calls over the tid column); row stores take the record
-    walk below.
+    ``bincount`` calls over the tid column); row stores are counted by
+    :func:`_counts_by`.
     """
     flags = result.flags
     fast = getattr(store, "thread_slice_counts", None)
     if fast is not None:
         totals, sliced = fast(flags)
     else:
-        totals = {}
-        sliced = {}
-        for i, rec in enumerate(store.forward()):
-            totals[rec.tid] = totals.get(rec.tid, 0) + 1
-            if flags[i]:
-                sliced[rec.tid] = sliced.get(rec.tid, 0) + 1
+        totals, sliced = _counts_by(store, "tid", flags)
 
     names = store.metadata.thread_names
     threads = tuple(
@@ -88,6 +86,19 @@ def compute_statistics(store: TraceStore, result: SliceResult) -> SliceStatistic
         in_slice=sum(sliced.values()),
         threads=threads,
     )
+
+
+def _counts_by(store: TraceStore, field: str, selectors) -> Tuple[Counter, Counter]:
+    """Records per value of ``field``: all of them, and those selected.
+
+    ``selectors`` is indexed like the records (slice flags, say).  Both
+    counts run at C level over ``map(attrgetter(field), ...)``, so no
+    per-record list is built; keys are in first-appearance order.
+    """
+    key = attrgetter(field)
+    totals = Counter(map(key, store.forward()))
+    selected = Counter(compress(map(key, store.forward()), selectors))
+    return totals, selected
 
 
 def windowed_fraction(
@@ -112,13 +123,7 @@ def per_function_fractions(
     store: TraceStore, result: SliceResult, min_records: int = 1
 ) -> List[Tuple[str, int, int]]:
     """Per-function (name, total, in-slice) triples, descending by total."""
-    totals: Dict[int, int] = {}
-    sliced: Dict[int, int] = {}
-    flags = result.flags
-    for i, rec in enumerate(store.forward()):
-        totals[rec.fn] = totals.get(rec.fn, 0) + 1
-        if flags[i]:
-            sliced[rec.fn] = sliced.get(rec.fn, 0) + 1
+    totals, sliced = _counts_by(store, "fn", result.flags)
     rows = [
         (store.symbols.name(fn), count, sliced.get(fn, 0))
         for fn, count in totals.items()

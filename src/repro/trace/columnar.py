@@ -61,12 +61,13 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .records import FrameSpan, InstrKind, TraceRecord, TraceMetadata
+from .records import FrameSpan, TraceRecord, TraceMetadata
 from .store import (
     TraceStore,
     _Cursor,
     _encode_metadata,
     _HEADER_V3,
+    _KINDS,
     _RecordWalker,
     epoch_bounds,
 )
@@ -242,7 +243,7 @@ class ColumnarTrace:
         return TraceRecord(
             tid=int(self.tid[i]),
             pc=int(self.pc[i]),
-            kind=InstrKind(int(self.kind[i])),
+            kind=_KINDS[self.kind[i]],
             fn=int(self.fn[i]),
             regs_read=tuple(
                 self.rr[self.rr_off[i] : self.rr_off[i + 1]].tolist()
@@ -271,46 +272,34 @@ class ColumnarTrace:
     def span(self, lo: int, hi: int) -> List[TraceRecord]:
         """Materialize records ``[lo, hi)`` from column views (batch path).
 
-        One ``.tolist()`` per column slice instead of per-record numpy
-        scalar indexing; this is what the parallel engine's epoch workers
-        call on their ``[lo, hi)`` array views.
+        One ``.tolist()`` per column slice, then one ``map`` over the
+        columns builds every record with no Python code per record but
+        the syscall field: kinds and markers map through tables, and each
+        operand list is a slice of one tuple per pool.
         """
         if self._materialized is not None:
             return self._materialized[lo:hi]
-        tids = self.tid[lo:hi].tolist()
-        pcs = self.pc[lo:hi].tolist()
-        kinds = self.kind[lo:hi].tolist()
-        fns = self.fn[lo:hi].tolist()
-        sys1 = self.syscall1[lo:hi].tolist()
-        mk1 = self.marker1[lo:hi].tolist()
-        rr_off = self.rr_off[lo : hi + 1].tolist()
-        rw_off = self.rw_off[lo : hi + 1].tolist()
-        mr_off = self.mr_off[lo : hi + 1].tolist()
-        mw_off = self.mw_off[lo : hi + 1].tolist()
-        rr = self.rr[rr_off[0] : rr_off[-1]].tolist()
-        rw = self.rw[rw_off[0] : rw_off[-1]].tolist()
-        mr = self.mr[mr_off[0] : mr_off[-1]].tolist()
-        mw = self.mw[mw_off[0] : mw_off[-1]].tolist()
-        rr0, rw0, mr0, mw0 = rr_off[0], rw_off[0], mr_off[0], mw_off[0]
-        markers = self.markers
-        kind_of = InstrKind
-        out: List[TraceRecord] = []
-        for j in range(hi - lo):
-            out.append(
-                TraceRecord(
-                    tid=tids[j],
-                    pc=pcs[j],
-                    kind=kind_of(kinds[j]),
-                    fn=fns[j],
-                    regs_read=tuple(rr[rr_off[j] - rr0 : rr_off[j + 1] - rr0]),
-                    regs_written=tuple(rw[rw_off[j] - rw0 : rw_off[j + 1] - rw0]),
-                    mem_read=tuple(mr[mr_off[j] - mr0 : mr_off[j + 1] - mr0]),
-                    mem_written=tuple(mw[mw_off[j] - mw0 : mw_off[j + 1] - mw0]),
-                    syscall=None if sys1[j] == 0 else sys1[j] - 1,
-                    marker=None if mk1[j] == 0 else markers[mk1[j] - 1],
-                )
-            )
-        return out
+
+        def operands(off: np.ndarray, flat: np.ndarray):
+            bounds = off[lo : hi + 1]
+            values = tuple(flat[bounds[0] : bounds[-1]].tolist())
+            bounds = (bounds - bounds[0]).tolist()
+            return map(values.__getitem__, map(slice, bounds, bounds[1:]))
+
+        markers = (None, *self.markers)
+        return list(map(
+            TraceRecord,
+            self.tid[lo:hi].tolist(),
+            self.pc[lo:hi].tolist(),
+            map(_KINDS.__getitem__, self.kind[lo:hi].tolist()),
+            self.fn[lo:hi].tolist(),
+            operands(self.rr_off, self.rr),
+            operands(self.rw_off, self.rw),
+            operands(self.mr_off, self.mr),
+            operands(self.mw_off, self.mw),
+            [None if s == 0 else s - 1 for s in self.syscall1[lo:hi].tolist()],
+            map(markers.__getitem__, self.marker1[lo:hi].tolist()),
+        ))
 
     def records(self) -> List[TraceRecord]:
         """Full materialized record list (cached after first call)."""
@@ -629,6 +618,20 @@ def parse_columnar(buf, path: str = "<bytes>") -> ColumnarTrace:
             raise ValueError(
                 f"{path}: CORE column {name} holds {len(col)} values "
                 f"for {n} records"
+            )
+
+    # Columns that index a table: a value past it would fail only when a
+    # record is rebuilt, far from the file, so refuse it here.
+    for name, col, limit in (
+        ("kind", kind, len(_KINDS)),
+        ("fn", fn, len(symbols)),
+        ("marker", marker1, len(markers) + 1),  # marker id + 1; 0 = none
+    ):
+        if n and int(col.max()) >= limit:
+            bad = int(np.argmax(col >= limit))
+            raise ValueError(
+                f"{path}: CORE column {name} value {int(col[bad])} at record "
+                f"{bad} is out of range (must be below {limit})"
             )
 
     rr_off, rr = _pool_sections(section(b"REGR"), n, "REGR", path)

@@ -351,14 +351,17 @@ class _Cursor:
 PendingMarkers = List[Tuple[int, int]]
 
 
-def _read_records(cur: _Cursor, count: int) -> Tuple[List[TraceRecord], PendingMarkers]:
+def _read_records(
+    cur: _Cursor, count: int, n_symbols: int
+) -> Tuple[List[TraceRecord], PendingMarkers]:
     """Decode ``count`` records at the cursor (the single record decoder).
 
     The marker-name table follows the record section, so records carrying
     a marker id come back with ``marker=None`` and their (position, id)
     in the pending list; :func:`_attach_markers` resolves them.  Hostile
     bytes raise ``ValueError`` naming the file: a truncated record, an
-    unknown kind byte, or a syscall or marker field below -1 (which no
+    unknown kind byte, a function id past the ``n_symbols`` names of the
+    symbol table, or a syscall or marker field below -1 (which no
     encoder writes and which would not re-serialize to the same bytes).
     """
     data = cur.data
@@ -399,10 +402,10 @@ def _read_records(cur: _Cursor, count: int) -> Tuple[List[TraceRecord], PendingM
                 pos += 8 * n
             else:
                 mem_written = ()
-            if kind >= n_kinds or syscall < -1 or marker_id < -1:
+            if kind >= n_kinds or fn >= n_symbols or syscall < -1 or marker_id < -1:
                 raise ValueError(
                     f"{cur.label}: record {i}: "
-                    f"{_field_error(kind, syscall, marker_id)}"
+                    f"{_field_error(kind, fn, n_symbols, syscall, marker_id)}"
                 )
             if marker_id >= 0:
                 pending.append((i, marker_id))
@@ -419,9 +422,11 @@ def _read_records(cur: _Cursor, count: int) -> Tuple[List[TraceRecord], PendingM
     return records, pending
 
 
-def _field_error(kind: int, syscall: int, marker_id: int) -> str:
+def _field_error(kind: int, fn: int, n_symbols: int, syscall: int, marker_id: int) -> str:
     if kind >= len(_KINDS):
         return f"unknown instruction kind {kind}"
+    if fn >= n_symbols:
+        return f"function id {fn} is out of range (the symbol table holds {n_symbols})"
     if syscall < -1:
         return f"syscall field {syscall} is below -1"
     return f"marker field {marker_id} is below -1"
@@ -495,6 +500,7 @@ class _RecordWalker:
         self.path = path
         self.cur = _Cursor(data[len(_HEADER):], label=str(path))
         self.n_records = 0
+        self.n_symbols = 0
         self._records_pos: Optional[int] = None
 
     def read_symbols(self) -> SymbolTable:
@@ -504,6 +510,7 @@ class _RecordWalker:
         for _ in range(n_names):
             (length,) = cur.take("<H")
             symbols.intern(cur.take_bytes(length).decode("utf-8"))
+        self.n_symbols = len(symbols)
         (self.n_records,) = cur.take("<Q")
         self._records_pos = cur.pos
         return symbols
@@ -518,7 +525,7 @@ class _RecordWalker:
         self.cur.pos = self._records_pos
 
     def read_records(self, count: int) -> Tuple[List[TraceRecord], PendingMarkers]:
-        return _read_records(self.cur, count)
+        return _read_records(self.cur, count, self.n_symbols)
 
     def read_markers(self) -> List[str]:
         cur = self.cur

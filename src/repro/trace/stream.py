@@ -260,7 +260,7 @@ class _FileStreamV2(EpochStream):
         cur.pos = self._offsets[lo // OFFSET_STRIDE]
         for _ in range(lo % OFFSET_STRIDE):
             _skip_record(cur)
-        records, pending = _read_records(cur, hi - lo)
+        records, pending = _read_records(cur, hi - lo, len(self.symbols))
         _attach_markers(records, pending, self._markers, self._label)
         return records
 

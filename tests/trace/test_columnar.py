@@ -29,6 +29,7 @@ from repro.trace.columnar import (
     serialize_columnar,
 )
 from repro.trace.lint import lint_or_raise
+from repro.trace.records import InstrKind
 from repro.trace.store import (
     load_any_trace,
     load_trace,
@@ -248,6 +249,82 @@ def test_rejects_missing_required_section(valid_v3, tmp_path):
     tag, offset, length = struct.unpack_from("<4sQQ", data, table_at)
     struct.pack_into("<4sQQ", data, table_at, b"XXXX", offset, length)
     _expect_value_error(tmp_path, data, "missing.ucwa")
+
+
+#: CORE columns in stored order.
+CORE_COLUMNS = ("tid", "pc", "kind", "fn", "syscall", "marker")
+
+
+def _core_value_at(data, column, record):
+    """(byte offset, width) of one record's value in a CORE column."""
+    table_at = len(b"UCWA3\n") + 4
+    (n_sections,) = struct.unpack_from("<I", data, len(b"UCWA3\n"))
+    for k in range(n_sections):
+        tag, offset, _ = struct.unpack_from("<4sQQ", data, table_at + k * 20)
+        if tag == b"CORE":
+            break
+    pos = offset + 8
+    for name in CORE_COLUMNS:
+        width, count = struct.unpack_from("<BQ", data, pos)
+        pos += 9
+        if name == column:
+            return pos + record * width, width
+        pos += width * count
+    raise AssertionError(column)
+
+
+@pytest.fixture()
+def random_v3(tmp_path):
+    """A ``random_trace(3)`` UCWA3 image and its trace."""
+    store = random_trace(3, target_records=600)
+    path = tmp_path / "good.ucwa"
+    save_columnar(ColumnarTrace.from_store(store), path)
+    return store, bytearray(path.read_bytes())
+
+
+def _column_limits(store):
+    """Per checked column, the first stored value past its table."""
+    return {
+        "kind": len(InstrKind),
+        "fn": len(store.symbols),
+        "marker": len({r.marker for r in store.records()} - {None}) + 1,
+    }
+
+
+def _with_column_value(data, column, record, value, path):
+    at, width = _core_value_at(data, column, record)
+    data[at : at + width] = value.to_bytes(width, "little")
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("column", ["kind", "fn", "marker"])
+def test_rejects_column_value_past_its_table(random_v3, tmp_path, column):
+    store, data = random_v3
+    value = 99 if column == "kind" else _column_limits(store)[column]
+    record = len(store) // 2
+    path = _with_column_value(data, column, record, value, tmp_path / f"{column}.ucwa")
+    with pytest.raises(ValueError, match=(
+        f"CORE column {column} value {value} at record {record} is out of range"
+    )) as err:
+        load_any_trace(path)
+    assert path.name in str(err.value)
+
+
+@pytest.mark.parametrize("column", ["kind", "fn", "marker"])
+def test_accepts_the_last_value_of_each_table(random_v3, tmp_path, column):
+    store, data = random_v3
+    value = _column_limits(store)[column] - 1
+    record = len(store) // 2
+    path = _with_column_value(data, column, record, value, tmp_path / f"{column}.ucwa")
+    trace = load_any_trace(path)
+    rec = trace.records()[record]
+    if column == "kind":
+        assert rec.kind == InstrKind(value)
+    elif column == "fn":
+        assert rec.fn == value
+    else:
+        assert rec.marker == trace.markers[value - 1]
 
 
 def test_serialize_columnar_is_deterministic():

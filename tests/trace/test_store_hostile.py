@@ -28,6 +28,7 @@ from repro.workloads.fuzz import random_trace
 
 #: Byte offsets of fields inside a record's ``<IQBIhh`` head.
 KIND_AT = 12
+FN_AT = 13
 SYSCALL_AT = 17
 MARKER_AT = 19
 
@@ -86,6 +87,17 @@ def test_unknown_kind_byte(image, tmp_path):
     bad = bytearray(data)
     bad[offsets[len(offsets) // 2] + KIND_AT] = 99
     _assert_rejected(_write(tmp_path, bad, "kind.ucwa"), "unknown instruction kind 99")
+
+
+def test_function_id_past_the_symbol_table(image, tmp_path):
+    data, offsets = image
+    n_symbols = len(load_trace(_write(tmp_path, bytearray(data), "good.ucwa")).symbols)
+    bad = bytearray(data)
+    struct.pack_into("<I", bad, offsets[len(offsets) // 3] + FN_AT, n_symbols)
+    _assert_rejected(
+        _write(tmp_path, bad, "fn.ucwa"),
+        f"function id {n_symbols} is out of range \\(the symbol table holds {n_symbols}\\)",
+    )
 
 
 @pytest.mark.parametrize("field_at,value,message", [
