@@ -45,8 +45,8 @@ See ``docs/incremental-slicing.md``.
 from __future__ import annotations
 
 import bisect
-from operator import attrgetter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 

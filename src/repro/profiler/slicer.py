@@ -304,9 +304,7 @@ class BackwardSlicer:
                             reason = ("register", next(r for r in regs if r in tregs))
 
             if in_slice:
-                # Kill definitions, gen uses.  (A non-RET record is never
-                # flagged before it is visited: only RETs join
-                # retroactively.)
+                # Kill definitions, gen uses.
                 if written:
                     live_mem.difference_update(written)
                 if rec.regs_written:
@@ -323,6 +321,7 @@ class BackwardSlicer:
                 frame.needed = True
                 if reasons is not None:
                     reasons[i] = reason
+                # Unflagged so far: only RETs join before they are visited.
                 flags[i] = 1
                 in_slice_count += 1
                 if is_main:

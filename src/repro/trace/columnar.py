@@ -275,7 +275,8 @@ class ColumnarTrace:
         One ``.tolist()`` per column slice, then one ``map`` over the
         columns builds every record with no Python code per record but
         the syscall field: kinds and markers map through tables, and each
-        operand list is a slice of one tuple per pool.
+        operand list is a slice of one tuple per pool.  The parallel
+        engine's epoch workers call this on their ``[lo, hi)`` views.
         """
         if self._materialized is not None:
             return self._materialized[lo:hi]

@@ -27,7 +27,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.profiler import Profiler
+from repro.profiler import Profiler, cdg
 from repro.profiler.categorize import categorize_unnecessary
 from repro.profiler.cdg import build_index
 from repro.profiler.criteria import (
@@ -36,7 +36,7 @@ from repro.profiler.criteria import (
     syscall_criteria,
 )
 from repro.profiler.parallel import ParallelSlicer
-from repro.profiler.slicer import BackwardSlicer, SlicerOptions
+from repro.profiler.slicer import BackwardSlicer, SlicerOptions, slice_trace
 from repro.profiler.vectorized import VectorizedSlicer, attach_index
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.lint import lint_or_raise
@@ -164,6 +164,23 @@ def test_engine_switch_on_profiler_api():
     assert vec.engine_stats["edges"] > 0
     with pytest.raises(ValueError):
         Profiler(cols).pixel_slice(engine="turbo")
+
+
+def test_slice_trace_runs_no_forward_pass_on_an_indexed_trace(monkeypatch):
+    """``slice_trace`` goes through ``Profiler.slice``, whose vectorized
+    path asks for the CDG only when the trace carries no slice index."""
+    store = random_trace(124)
+    cols = ColumnarTrace.from_store(store)
+    attach_index(cols)
+    seq = slice_trace(store, pixel_criteria(store))
+
+    def no_forward_pass(self, cfgs):
+        raise AssertionError("the forward pass ran")
+
+    monkeypatch.setattr(cdg.ControlDependenceIndex, "__init__", no_forward_pass)
+    vec = slice_trace(cols, pixel_criteria(cols), engine="vectorized")
+    assert bytes(vec.flags) == bytes(seq.flags)
+    assert vec.engine_stats["stored_index"] is True
 
 
 def test_vectorized_accepts_row_store():
