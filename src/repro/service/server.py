@@ -70,6 +70,33 @@ HANDOFF_BATCH = 64
 #: of the LRU order; a cold tail is cheaper to recompute than to copy.
 HANDOFF_MAX_ENTRIES = 512
 
+#: How long a server-initiated hang-up reads and discards the peer's
+#: in-flight bytes before closing.
+HANG_UP_DRAIN_S = 0.5
+
+
+def _hang_up(conn: socket.socket) -> None:
+    """End a connection after its final reply without resetting the peer.
+
+    Closing a TCP socket with unread bytes queued sends a reset, which
+    can reach the peer before it reads the reply or the end of stream.
+    So shut the write side (the peer reads the reply, then EOF), read
+    and discard what the peer still sends for at most
+    ``HANG_UP_DRAIN_S``, and leave the close to the caller.
+    """
+    deadline = time.monotonic() + HANG_UP_DRAIN_S
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            conn.settimeout(left)
+            if not conn.recv(65536):
+                return
+    except OSError:  # timed out, or the peer is already gone
+        pass
+
 
 @dataclass
 class Job:
@@ -319,6 +346,7 @@ class ProfilingServer:
                     protocol.send_message(
                         conn, protocol.error(protocol.ERR_BAD_REQUEST, str(err))
                     )
+                    _hang_up(conn)
                     return
                 if request is None:
                     return
@@ -331,6 +359,7 @@ class ProfilingServer:
                 if response is not None:
                     protocol.send_message(conn, response)
                 if state.close:
+                    _hang_up(conn)
                     return
         except OSError:
             pass  # client went away; cleanup below
