@@ -469,7 +469,7 @@ class IncrementalSlicer:
                     reasons[ret_index] = ("call", callee_fn)
 
         result_out = SliceResult(criteria_name=criteria.name, flags=flags)
-        result_out.visited = n
+        result_out.visited = self.records_touched
         result_out.reasons = reasons
         result_out.engine_stats = {
             "engine": "incremental",

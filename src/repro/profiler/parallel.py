@@ -787,6 +787,7 @@ class ParallelSlicer:
         inputs: List[SliceFrontier] = [empty] * E
         results: List[Optional[EpochResult]] = [None] * E
 
+        visited = 0
         pool = self._make_pool(ctx)
         try:
             batch = list(range(E))
@@ -797,6 +798,7 @@ class ParallelSlicer:
                 for k, res in fresh.items():
                     results[k] = res
                     self.epoch_runs += 1
+                    visited += bounds[k][1] - bounds[k][0]
                 # Propagate exit frontiers backward; epochs queued for a
                 # re-run have stale outputs and block the chain until the
                 # next round.
@@ -846,7 +848,7 @@ class ParallelSlicer:
                         reasons[ret_index] = ("call", callee_fn)
 
         result = SliceResult(criteria_name=criteria.name, flags=flags)
-        result.visited = n
+        result.visited = visited
         result.reasons = reasons
         result.engine_stats = {
             "engine": "parallel",

@@ -29,12 +29,15 @@ pipeline's savings directly (steady-state frames vs. the load frame).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..trace.records import FrameSpan, InstrKind
 from ..trace.store import TraceStore
 from .api import Profiler
 from .criteria import Criterion, SlicingCriteria
+from .slicer import BackwardSlicer, SliceResult, Stacks, copy_stacks
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,9 @@ class RedundancyReport:
     """Per-frame redundancy results for one multi-frame trace."""
 
     frames: List[FrameRedundancy] = field(default_factory=list)
+    #: records the backward walks visited (per-frame slices plus, for the
+    #: sequential engine, the stack-only pass)
+    visited: int = 0
 
     def first(self) -> Optional[FrameRedundancy]:
         return self.frames[0] if self.frames else None
@@ -131,43 +137,69 @@ def _stability_pass(store: TraceStore) -> Tuple[List[int], bytearray]:
     at or before it.
     """
     last_changing_write: Dict[int, int] = {}
+    changed_at = last_changing_write.get
     seen: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
+    seen_get = seen.get
     prev_exec: List[int] = []
     stable = bytearray()
-    for i, rec in enumerate(store.forward()):
-        key = (rec.pc, rec.mem_read, rec.mem_written)
-        prev = seen.get(key, -1)
-        prev_exec.append(prev)
-        is_stable = prev >= 0 and all(
-            last_changing_write.get(cell, -1) <= prev for cell in rec.mem_read
-        )
-        stable.append(1 if is_stable else 0)
+    for i, rec in enumerate(store.records()):
+        reads = rec.mem_read
+        written = rec.mem_written
+        key = (rec.pc, reads, written)
+        prev = seen_get(key, -1)
         seen[key] = i
-        if not is_stable:
-            for cell in rec.mem_written:
+        prev_exec.append(prev)
+        if prev >= 0 and (
+            not reads or max(map(changed_at, reads, repeat(-1, len(reads)))) <= prev
+        ):
+            stable.append(1)
+        else:
+            stable.append(0)
+            for cell in written:
                 last_changing_write[cell] = i
     return prev_exec, stable
 
 
+def _stack_starts(
+    slicer: BackwardSlicer, n: int, ends: List[int]
+) -> Tuple[Dict[int, Stacks], int]:
+    """Per-thread invocation stacks just above each of ``ends`` (ascending).
+
+    One stack-only backward pass (the walk with no criteria), chained over
+    the gaps between the ends, copies every stack at each end.  Returns
+    the copies by end and the number of records walked.
+    """
+    stacks: Stacks = {}
+    starts: Dict[int, Stacks] = {}
+    visited = 0
+    hi = n - 1
+    for end in reversed(ends):
+        visited += slicer.run(lo=end + 1, hi=hi, stacks=stacks).visited
+        starts[end] = copy_stacks(stacks)
+        hi = end
+    return starts, visited
+
+
 def analyze_frames(
-    store: TraceStore,
-    sample_every: Optional[int] = None,
-    engine: str = "sequential",
+    store: TraceStore, engine: str = "sequential"
 ) -> RedundancyReport:
     """Per-frame pixel slices plus redundant/fresh classification.
 
-    ``engine="incremental"`` turns the F independent full slices into one
+    The sequential engine walks each frame's window only: one stack-only
+    backward pass copies every thread's invocation stack at each
+    ``frame:end``, and the frame's slice walks from its end down to its
+    begin from that copy, going below ``begin`` only while an invocation
+    whose RET lies inside the frame is still open (its CALL can still
+    flag the RET).  Nothing above the frame's end can join its slice, so
+    the frame's flags equal a full-trace slice's.  Other engines run one
+    full slice per frame; ``engine="incremental"`` turns those into one
     streaming pass: every per-frame query extends the profiler's shared
     checkpoint, so each seedless region's backward run is paid once and
-    later frames reuse it (same flags, byte for byte — the split is
-    engine-invariant).  ``sample_every`` is ignored for per-frame slices
-    (the classification never reads timelines, and reconstructing F of
-    them costs O(F·n)).
+    later frames reuse it.  The split is engine-invariant.
 
     Raises ``ValueError`` when the trace records no complete frame epochs
     (i.e. it predates the incremental pipeline's frame markers).
     """
-    del sample_every  # accepted for API compatibility; timelines unused
     spans = [span for span in store.frame_spans() if span.complete]
     if not spans:
         raise ValueError(
@@ -175,36 +207,51 @@ def analyze_frames(
             "frame-aware engine"
         )
     profiler = Profiler(store)
+    records = store.records()
+    n = len(records)
     prev_exec, stable = _stability_pass(store)
-    records = list(store.records())
+    # Per record: the previous execution of a stable OP, else n (never
+    # before a frame's begin), so a frame's redundant count is one
+    # C-level count over its unsliced records.
+    OP = InstrKind.OP
+    redundant_since = [
+        prev if is_stable and kind == OP else n
+        for prev, is_stable, kind in zip(prev_exec, stable, map(attrgetter("kind"), records))
+    ]
     report = RedundancyReport()
+    if engine == "sequential":
+        cdi = profiler.control_dependence_index()
+        starts, report.visited = _stack_starts(
+            BackwardSlicer(store, cdi, SlicingCriteria("stacks")),
+            n,
+            [span.end for span in spans],
+        )
     for span in spans:
+        begin, end = span.begin, span.end
+        assert end is not None
         criteria = frame_pixel_criteria(store, span)
-        if criteria.criteria:
-            result = profiler.slice(criteria, engine=engine)
-            flags = result.flags
+        if not criteria.criteria:
+            result = SliceResult(criteria.name, bytearray(n))
+        elif engine == "sequential":
+            result = BackwardSlicer(store, cdi, criteria).run(
+                lo=begin, hi=end, stacks=starts[end], close_calls=True
+            )
         else:
-            flags = bytearray(len(records))
+            result = profiler.slice(criteria, engine=engine)
+        report.visited += result.visited
+        window = result.flags[begin : end + 1]
         total = span.n_records()
-        in_slice = 0
-        redundant = 0
-        for i in range(span.begin, span.end + 1):  # type: ignore[operator]
-            if flags[i]:
-                in_slice += 1
-                continue
-            rec = records[i]
-            if (
-                rec.kind == InstrKind.OP
-                and stable[i]
-                and 0 <= prev_exec[i] < span.begin
-            ):
-                redundant += 1
+        in_slice = window.count(1)
+        redundant = sum(map(
+            begin.__gt__,
+            compress(redundant_since[begin : end + 1], window.translate(_INVERT)),
+        ))
         report.frames.append(
             FrameRedundancy(
                 frame_id=span.frame_id,
                 kind=span.kind,
-                begin=span.begin,
-                end=span.end,  # type: ignore[arg-type]
+                begin=begin,
+                end=end,
                 total=total,
                 in_slice=in_slice,
                 redundant=redundant,
@@ -212,3 +259,7 @@ def analyze_frames(
             )
         )
     return report
+
+
+#: Swaps slice flags 0 and 1: the selectors of a frame's unsliced records.
+_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")

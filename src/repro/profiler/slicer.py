@@ -26,6 +26,7 @@ exact addresses, there is no aliasing imprecision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..trace.records import InstrKind
@@ -84,8 +85,11 @@ class SliceResult:
     criteria_name: str
     flags: bytearray  # flags[i] == 1 iff record i is in the slice
     timeline: List[TimelineSample] = field(default_factory=list)
-    #: number of records the walk visited; every engine walks the whole
-    #: trace, windowed criteria included, so this is ``len(flags)``
+    #: number of records the engine walked: ``len(flags)`` for a full
+    #: sequential, vectorized or oracle slice; fewer for a range walk
+    #: (:meth:`BackwardSlicer.run` with ``lo``/``hi``) or an incremental
+    #: slice that reused memoized regions; more for a parallel slice
+    #: that re-ran epochs
     visited: int = 0
     #: record index -> (reason kind, detail), when reasons were tracked.
     #: kinds: "data" (a written cell was live), "register", "control"
@@ -127,6 +131,22 @@ class _BackwardFrame:
         self.is_root = is_root
 
 
+Stacks = Dict[int, List[_BackwardFrame]]
+
+
+def copy_stacks(stacks: Stacks) -> Stacks:
+    """A fresh copy of per-thread invocation stacks, every frame unneeded.
+
+    A stack-only walk (no criteria) never marks a frame needed, so its
+    copy is the stack state any criteria walk has at the same point when
+    no seed lies above it.
+    """
+    return {
+        tid: [_BackwardFrame(f.fn, f.ret_index, f.is_root) for f in stack]
+        for tid, stack in stacks.items()
+    }
+
+
 class BackwardSlicer:
     """Runs the backward pass for one criteria set over one trace."""
 
@@ -147,10 +167,32 @@ class BackwardSlicer:
         meta_main = store.metadata.main_thread_id()
         self._main_tid = main_tid if main_tid is not None else meta_main
 
-    def run(self) -> SliceResult:
+    def run(
+        self,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        stacks: Optional[Stacks] = None,
+        close_calls: bool = False,
+    ) -> SliceResult:
+        """Walk records ``hi`` down to ``lo`` (default: the whole trace).
+
+        ``stacks`` holds the per-thread invocation stacks just above
+        ``hi`` (default: none, the trace end); the walk updates it in
+        place, so consecutive ranges chain.  Criteria above ``hi`` are
+        not seen.  With ``close_calls`` the walk goes on below ``lo``
+        while some stack still holds an invocation whose RET lies in
+        ``[lo, hi]``: its CALL can still flag that RET.  Flags in
+        ``[lo, hi]`` then equal the full slice's whenever ``stacks`` are
+        the full walk's stacks at ``hi + 1`` and no seed lies above
+        ``hi``; outside the range they are partial.
+        """
         store = self._store
         records = store.records()
         n = len(records)
+        if hi is None:
+            hi = n - 1
+        if stacks is None:
+            stacks = {}
         flags = bytearray(n)
         result = SliceResult(criteria_name=self._criteria.name, flags=flags)
         timeline = result.timeline
@@ -160,7 +202,7 @@ class BackwardSlicer:
         points = sorted(
             (index, crit)
             for index, crit in self._criteria.by_index().items()
-            if index < n
+            if index <= hi
         )
         next_point, crit = points.pop() if points else (-1, None)
         syscalls_until = (
@@ -182,16 +224,16 @@ class BackwardSlicer:
         live_mem: Set[int] = set()
         live_regs: Dict[int, Set[int]] = {}
         pending: Dict[int, Set[int]] = {}
-        stacks: Dict[int, List[_BackwardFrame]] = {}
 
         in_slice_count = 0
         processed_main = 0
         in_slice_main = 0
         main_tid = self._main_tid
         sample_every = self._sample_every
-        # The record index after which ``n - i`` (records processed) is
+        # The record index after which ``top - i`` (records processed) is
         # the next multiple of ``sample_every``; -1 never comes.
-        sample_at = n - sample_every if sample_every else -1
+        top = hi + 1
+        sample_at = top - sample_every if sample_every else -1
         RET = InstrKind.RET
         CALL = InstrKind.CALL
         BRANCH = InstrKind.BRANCH
@@ -204,142 +246,165 @@ class BackwardSlicer:
         tpending: Set[int] = set()
         is_main = False
 
-        for i, rec in zip(range(n - 1, -1, -1), reversed(records)):
-            tid = rec.tid
-            if tid != cur_tid:
-                cur_tid = tid
-                stack = stacks.get(tid)
-                if stack is None:
-                    stack = stacks[tid] = []
-                tregs = live_regs.get(tid)
-                if tregs is None:
-                    tregs = live_regs[tid] = set()
-                tpending = pending.get(tid)
-                if tpending is None:
-                    tpending = pending[tid] = set()
-                is_main = tid == main_tid
+        # Two segments of one walk: the range [lo, hi], then (close_calls)
+        # the records below lo until no stack holds an invocation whose
+        # RET lies in the range; the CALL popping the last one ends it.
+        i = top
+        for seg_hi, seg_lo in ((hi, lo), (lo - 1, 0)):
+            if seg_hi < lo:
+                open_calls = sum(
+                    1
+                    for thread_stack in stacks.values()
+                    for f in thread_stack
+                    if f.ret_index is not None and lo <= f.ret_index <= hi
+                ) if close_calls else 0
+                if not open_calls:
+                    break
+            for i, rec in zip(
+                range(seg_hi, seg_lo - 1, -1),
+                islice(reversed(records), n - 1 - seg_hi, n - seg_lo),
+            ):
+                tid = rec.tid
+                if tid != cur_tid:
+                    cur_tid = tid
+                    stack = stacks.get(tid)
+                    if stack is None:
+                        stack = stacks[tid] = []
+                    tregs = live_regs.get(tid)
+                    if tregs is None:
+                        tregs = live_regs[tid] = set()
+                    tpending = pending.get(tid)
+                    if tpending is None:
+                        tpending = pending[tid] = set()
+                    is_main = tid == main_tid
 
-            # -- criteria seeding -------------------------------------- #
-            if i == next_point:
-                live_mem.update(crit.cells)
-                for reg_tid, reg in crit.regs:
-                    regs = live_regs.get(reg_tid)
-                    if regs is None:
-                        regs = live_regs[reg_tid] = set()
-                    regs.add(reg)
-                next_point, crit = points.pop() if points else (-1, None)
+                # -- criteria seeding -------------------------------------- #
+                if i == next_point:
+                    live_mem.update(crit.cells)
+                    for reg_tid, reg in crit.regs:
+                        regs = live_regs.get(reg_tid)
+                        if regs is None:
+                            regs = live_regs[reg_tid] = set()
+                        regs.add(reg)
+                    next_point, crit = points.pop() if points else (-1, None)
 
-            # -- backward frame reconstruction ------------------------- #
-            kind = rec.kind
-            if kind == RET:
-                stack.append(_BackwardFrame(rec.fn, ret_index=i))
+                # -- backward frame reconstruction ------------------------- #
+                kind = rec.kind
+                if kind == RET:
+                    stack.append(_BackwardFrame(rec.fn, ret_index=i))
+                    if is_main:
+                        processed_main += 1
+                    if i == sample_at:
+                        timeline.append(TimelineSample(
+                            top - i, in_slice_count, processed_main, in_slice_main
+                        ))
+                        sample_at -= sample_every
+                    continue
+
+                fn = rec.fn
+                if stack:
+                    frame = stack[-1]
+                    if frame.fn != fn and kind != CALL:
+                        # A frame entered but never returned before trace
+                        # truncation.
+                        frame = _BackwardFrame(fn, ret_index=None, is_root=True)
+                        stack.append(frame)
+                else:  # thread root
+                    frame = _BackwardFrame(fn, ret_index=None, is_root=True)
+                    stack.append(frame)
+
+                in_slice = False
+                if kind == CALL:
+                    # Close the callee frame (pushed when its RET was met, or a
+                    # synthetic root for truncated invocations).
+                    if not frame.is_root or frame.fn != fn:
+                        callee = stack.pop()
+                        if callee.needed and call_sites:
+                            in_slice = True
+                            reason = ("call", callee.fn)
+                            ret_index = callee.ret_index
+                            if ret_index is not None and not flags[ret_index]:
+                                flags[ret_index] = 1
+                                in_slice_count += 1
+                                if is_main:
+                                    in_slice_main += 1
+                                if reasons is not None:
+                                    # The RET joins retroactively, paired with
+                                    # this CALL; without a reason entry here the
+                                    # reason counts would not sum to the slice
+                                    # size.
+                                    reasons[ret_index] = reason
+                        if i < lo:
+                            ret_index = callee.ret_index
+                            if ret_index is not None and lo <= ret_index <= hi:
+                                open_calls -= 1
+                                if not open_calls:
+                                    break
+                        # The frame the CALL itself belongs to:
+                        if not stack:
+                            stack.append(_BackwardFrame(fn, ret_index=None, is_root=True))
+                        frame = stack[-1]
+                elif kind == BRANCH:
+                    if rec.pc in tpending:
+                        in_slice = True
+                        reason = ("control", rec.pc)
+                        tpending.discard(rec.pc)
+                elif kind == SYSCALL:
+                    if i <= syscalls_until:
+                        in_slice = True
+                        reason = ("syscall", rec.syscall or 0)
+
+                # -- liveness rule (data dependences) ---------------------- #
+                written = rec.mem_written
+                if not in_slice:
+                    if written and not live_mem.isdisjoint(written):
+                        in_slice = True
+                        if reasons is not None:
+                            reason = ("data", next(a for a in written if a in live_mem))
+                    elif tregs:
+                        regs = rec.regs_written
+                        if regs and not tregs.isdisjoint(regs):
+                            in_slice = True
+                            if reasons is not None:
+                                reason = ("register", next(r for r in regs if r in tregs))
+
+                if in_slice:
+                    # Kill definitions, gen uses.
+                    if written:
+                        live_mem.difference_update(written)
+                    if rec.regs_written:
+                        tregs.difference_update(rec.regs_written)
+                    if rec.mem_read:
+                        live_mem.update(rec.mem_read)
+                    if rec.regs_read:
+                        tregs.update(rec.regs_read)
+                    # Control dependences become pending.
+                    cdeps = cd_get(rec.pc)
+                    if cdeps:
+                        tpending.update(cdeps)
+                    # Dynamic call-site dependence: this invocation is useful.
+                    frame.needed = True
+                    if reasons is not None:
+                        reasons[i] = reason
+                    # Unflagged so far: only RETs join before they are visited.
+                    flags[i] = 1
+                    in_slice_count += 1
+                    if is_main:
+                        in_slice_main += 1
+
                 if is_main:
                     processed_main += 1
                 if i == sample_at:
                     timeline.append(TimelineSample(
-                        n - i, in_slice_count, processed_main, in_slice_main
+                        top - i, in_slice_count, processed_main, in_slice_main
                     ))
                     sample_at -= sample_every
-                continue
 
-            fn = rec.fn
-            if stack:
-                frame = stack[-1]
-                if frame.fn != fn and kind != CALL:
-                    # A frame entered but never returned before trace
-                    # truncation.
-                    frame = _BackwardFrame(fn, ret_index=None, is_root=True)
-                    stack.append(frame)
-            else:  # thread root
-                frame = _BackwardFrame(fn, ret_index=None, is_root=True)
-                stack.append(frame)
-
-            in_slice = False
-            if kind == CALL:
-                # Close the callee frame (pushed when its RET was met, or a
-                # synthetic root for truncated invocations).
-                if not frame.is_root or frame.fn != fn:
-                    callee = stack.pop()
-                    if callee.needed and call_sites:
-                        in_slice = True
-                        reason = ("call", callee.fn)
-                        ret_index = callee.ret_index
-                        if ret_index is not None and not flags[ret_index]:
-                            flags[ret_index] = 1
-                            in_slice_count += 1
-                            if is_main:
-                                in_slice_main += 1
-                            if reasons is not None:
-                                # The RET joins retroactively, paired with
-                                # this CALL; without a reason entry here the
-                                # reason counts would not sum to the slice
-                                # size.
-                                reasons[ret_index] = reason
-                    # The frame the CALL itself belongs to:
-                    if not stack:
-                        stack.append(_BackwardFrame(fn, ret_index=None, is_root=True))
-                    frame = stack[-1]
-            elif kind == BRANCH:
-                if rec.pc in tpending:
-                    in_slice = True
-                    reason = ("control", rec.pc)
-                    tpending.discard(rec.pc)
-            elif kind == SYSCALL:
-                if i <= syscalls_until:
-                    in_slice = True
-                    reason = ("syscall", rec.syscall or 0)
-
-            # -- liveness rule (data dependences) ---------------------- #
-            written = rec.mem_written
-            if not in_slice:
-                if written and not live_mem.isdisjoint(written):
-                    in_slice = True
-                    if reasons is not None:
-                        reason = ("data", next(a for a in written if a in live_mem))
-                elif tregs:
-                    regs = rec.regs_written
-                    if regs and not tregs.isdisjoint(regs):
-                        in_slice = True
-                        if reasons is not None:
-                            reason = ("register", next(r for r in regs if r in tregs))
-
-            if in_slice:
-                # Kill definitions, gen uses.
-                if written:
-                    live_mem.difference_update(written)
-                if rec.regs_written:
-                    tregs.difference_update(rec.regs_written)
-                if rec.mem_read:
-                    live_mem.update(rec.mem_read)
-                if rec.regs_read:
-                    tregs.update(rec.regs_read)
-                # Control dependences become pending.
-                cdeps = cd_get(rec.pc)
-                if cdeps:
-                    tpending.update(cdeps)
-                # Dynamic call-site dependence: this invocation is useful.
-                frame.needed = True
-                if reasons is not None:
-                    reasons[i] = reason
-                # Unflagged so far: only RETs join before they are visited.
-                flags[i] = 1
-                in_slice_count += 1
-                if is_main:
-                    in_slice_main += 1
-
-            if is_main:
-                processed_main += 1
-            if i == sample_at:
-                timeline.append(TimelineSample(
-                    n - i, in_slice_count, processed_main, in_slice_main
-                ))
-                sample_at -= sample_every
-
-        result.visited = n
+        result.visited = top - i
         if sample_every:
-            timeline.append(
-                TimelineSample(n, in_slice_count, processed_main, in_slice_main)
-            )
+            timeline.append(TimelineSample(
+                result.visited, in_slice_count, processed_main, in_slice_main
+            ))
         return result
 
 

@@ -5,9 +5,12 @@ import pytest
 from repro.browser import BrowserEngine
 from repro.machine import Tracer
 from repro.machine.tracer import TILE_MARKER
-from repro.profiler import analyze_frames, frame_pixel_criteria
+from repro.profiler import BackwardSlicer, analyze_frames, frame_pixel_criteria
+from repro.profiler.cdg import build_index
 from repro.profiler.redundancy import _stability_pass
+from repro.trace.records import InstrKind
 from repro.workloads import benchmark
+from repro.workloads.fuzz import random_frame_trace
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +106,138 @@ def test_stability_pass_sees_silent_writes():
     assert stable[a1] and prev[a1] == a0
     assert stable[b1] and prev[b1] == b0
     assert not stable[b2], "a changing write must break stability"
+
+
+# -- the windowed per-frame walk ------------------------------------------- #
+
+
+def full_slice_frames(store):
+    """Per-frame (total, in_slice, redundant) from full-trace slices.
+
+    The reference the windowed walk must match: every frame sliced over
+    the whole trace, counted record by record.
+    """
+    cdi = build_index(store.records())
+    records = store.records()
+    prev, stable = _stability_pass(store)
+    rows = []
+    for span in store.frame_spans():
+        criteria = frame_pixel_criteria(store, span)
+        flags = (
+            BackwardSlicer(store, cdi, criteria).run().flags
+            if criteria.criteria
+            else bytearray(len(records))
+        )
+        window = range(span.begin, span.end + 1)
+        redundant = sum(
+            1
+            for i in window
+            if not flags[i]
+            and records[i].kind == InstrKind.OP
+            and stable[i]
+            and 0 <= prev[i] < span.begin
+        )
+        rows.append((span.n_records(), sum(flags[i] for i in window), redundant))
+    return rows
+
+
+def frame_rows(report):
+    return [(f.total, f.in_slice, f.redundant) for f in report.frames]
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_windowed_frames_match_full_slices(seed):
+    n_frames = 2 + seed % 4
+    store = random_frame_trace(
+        seed,
+        n_frames=n_frames,
+        records_per_frame=120 + 40 * (seed // 12 % 3),
+        n_threads=1 + seed // 4 % 3,
+        empty_frame_at=seed // 36 % n_frames if seed % 3 == 0 else None,
+    )
+    report = analyze_frames(store)
+    assert frame_rows(report) == full_slice_frames(store), (
+        f"random_frame_trace({seed}) diverged"
+    )
+
+
+def _frame_trace():
+    tracer = Tracer()
+    tracer.spawn_thread(1, "CrRendererMain", "main_loop")
+    return tracer
+
+
+def test_invocation_returning_inside_the_frame_is_closed_below_begin():
+    # f starts before frame:begin and returns inside the frame; only its
+    # write below begin feeds the pixels, so only the walk below begin
+    # makes f needed, and its CALL there flags its RET inside the frame.
+    tracer = _frame_trace()
+    tracer.call("f")
+    tracer.op("produce", writes=(0x10,))
+    tracer.frame_begin(0, "load")
+    tracer.op("noise", writes=(0x99,))
+    tracer.ret()
+    ret_index = len(tracer.store) - 1
+    tracer.op("paint", reads=(0x10,), writes=(0x20,))
+    tracer.marker(TILE_MARKER, cells=(0x20,))
+    tracer.frame_end(0)
+    store = tracer.store
+
+    expected = full_slice_frames(store)
+    assert frame_rows(analyze_frames(store)) == expected
+
+    span = store.frame_spans()[0]
+    cdi = build_index(store.records())
+    criteria = frame_pixel_criteria(store, span)
+    assert BackwardSlicer(store, cdi, criteria).run().flags[ret_index]
+    stopped = BackwardSlicer(store, cdi, criteria).run(lo=span.begin, hi=span.end)
+    assert not stopped.flags[ret_index], "stopping at begin must miss the RET"
+
+
+def test_invocation_open_at_frame_end_starts_from_its_stack():
+    # g is open at frame:end and returns after it.  Inside the frame g
+    # calls itself; with g's frames on the stack the inner CALL closes a
+    # needed invocation and joins, from empty stacks it does not.
+    tracer = _frame_trace()
+    tracer.call("g")
+    tracer.frame_begin(0, "load")
+    tracer.call("g")
+    inner_call = len(tracer.store) - 1
+    tracer.op("paint", writes=(0x20,))
+    tracer.marker(TILE_MARKER, cells=(0x20,))
+    tracer.frame_end(0)
+    tracer.ret()
+    tracer.ret()
+    store = tracer.store
+
+    expected = full_slice_frames(store)
+    assert frame_rows(analyze_frames(store)) == expected
+
+    span = store.frame_spans()[0]
+    cdi = build_index(store.records())
+    criteria = frame_pixel_criteria(store, span)
+    assert BackwardSlicer(store, cdi, criteria).run().flags[inner_call]
+    empty = BackwardSlicer(store, cdi, criteria).run(
+        lo=span.begin, hi=span.end, close_calls=True
+    )
+    assert not empty.flags[inner_call], "empty stacks must miss the inner CALL"
+
+
+def test_ticker_frame_walks_visit_under_two_traces(ticker_store, ticker_report):
+    # Full per-frame slices walked n records per frame; the stack-only
+    # pass plus the frame windows must stay under two traces in total.
+    n = len(ticker_store)
+    assert len(ticker_report.frames) * n > 2 * n
+    assert 0 < ticker_report.visited < 2 * n
+
+
+def test_full_range_walk_is_the_default_walk(ticker_store):
+    cdi = build_index(ticker_store.records())
+    criteria = frame_pixel_criteria(ticker_store, ticker_store.frame_spans()[0])
+    default = BackwardSlicer(ticker_store, cdi, criteria, sample_every=500).run()
+    ranged = BackwardSlicer(ticker_store, cdi, criteria, sample_every=500).run(
+        lo=0, hi=len(ticker_store) - 1, stacks={}, close_calls=True
+    )
+    assert bytes(ranged.flags) == bytes(default.flags)
+    assert ranged.timeline == default.timeline
+    assert ranged.visited == default.visited == len(ticker_store)
