@@ -249,21 +249,24 @@ class BackwardSlicer:
         # Two segments of one walk: the range [lo, hi], then (close_calls)
         # the records below lo until no stack holds an invocation whose
         # RET lies in the range; the CALL popping the last one ends it.
+        # Both read one reverse iterator, first advanced past the records
+        # above hi, so a record costs no more than in a whole-trace walk.
+        rev = reversed(records)
+        next(islice(rev, n - 1 - hi, n - 1 - hi), None)
         i = top
+        open_calls = 0  # stays 0 in the range itself
         for seg_hi, seg_lo in ((hi, lo), (lo - 1, 0)):
             if seg_hi < lo:
-                open_calls = sum(
-                    1
-                    for thread_stack in stacks.values()
-                    for f in thread_stack
-                    if f.ret_index is not None and lo <= f.ret_index <= hi
-                ) if close_calls else 0
+                if close_calls:
+                    open_calls = sum(
+                        1
+                        for thread_stack in stacks.values()
+                        for f in thread_stack
+                        if f.ret_index is not None and lo <= f.ret_index <= hi
+                    )
                 if not open_calls:
                     break
-            for i, rec in zip(
-                range(seg_hi, seg_lo - 1, -1),
-                islice(reversed(records), n - 1 - seg_hi, n - seg_lo),
-            ):
+            for i, rec in zip(range(seg_hi, seg_lo - 1, -1), rev):
                 tid = rec.tid
                 if tid != cur_tid:
                     cur_tid = tid
@@ -334,7 +337,7 @@ class BackwardSlicer:
                                     # reason counts would not sum to the slice
                                     # size.
                                     reasons[ret_index] = reason
-                        if i < lo:
+                        if open_calls:
                             ret_index = callee.ret_index
                             if ret_index is not None and lo <= ret_index <= hi:
                                 open_calls -= 1
