@@ -224,8 +224,8 @@ def test_invocation_open_at_frame_end_starts_from_its_stack():
 
 
 def test_ticker_frame_walks_visit_under_two_traces(ticker_store, ticker_report):
-    # Full per-frame slices walked n records per frame; the stack-only
-    # pass plus the frame windows must stay under two traces in total.
+    # A whole-trace slice per frame walks n records per frame; the
+    # stack-only pass plus the frame windows must stay under two traces.
     n = len(ticker_store)
     assert len(ticker_report.frames) * n > 2 * n
     assert 0 < ticker_report.visited < 2 * n
